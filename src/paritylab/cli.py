@@ -50,8 +50,11 @@ from .exact import (
 
 __all__ = ["RunConfig", "UsageError", "main"]
 
-# the DP above this weight costs multi-GB state; require explicit opt-in
+# above this weight a sweep's family DP runs for tens of seconds to minutes
+# (time ~n^2.7; state only ~9 MB at 3000 and ~26 MB at 5000), while one weight
+# takes about 2 s even at 5000; require explicit opt-in
 HUGE_THRESHOLD = 3000
+OUTPUT_FORMATS = ("csv", "json")
 
 
 class UsageError(Exception):
@@ -103,7 +106,7 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument(
         "--c", type=float, default=None, help="fixed threshold / bias level"
     )
-    common.add_argument("--format", choices=("csv", "json"), default=None)
+    common.add_argument("--format", choices=OUTPUT_FORMATS, default=None)
     common.add_argument("--out", default=None, metavar="PATH")
     common.add_argument("--threads", type=int, default=None, metavar="K")
     common.add_argument("--config", default=None, metavar="PATH")
@@ -112,7 +115,7 @@ def _build_parser() -> argparse.ArgumentParser:
         action="store_const",
         const=True,
         default=None,
-        help=f"acknowledge a weight above {HUGE_THRESHOLD} (multi-GB DP state)",
+        help=f"acknowledge a weight above {HUGE_THRESHOLD} (sweep time grows like n^2.7)",
     )
     common.add_argument(
         "--only", default=None, metavar="NAME", help="verify: run checks whose name starts with NAME"
@@ -205,17 +208,31 @@ def _build_config(args: argparse.Namespace) -> RunConfig:
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
 
+    c0 = pick(args.c0, "c0", float, 0.0)
+    c = pick(args.c, "c", float, 0.0)
+    for name, value in (("c0", c0), ("c", c)):
+        if not math.isfinite(value):
+            raise UsageError(f"{name} must be finite, got {value!r}")
+    output_format = pick(args.format, "format", str, "csv")
+    if output_format not in OUTPUT_FORMATS:
+        raise UsageError(
+            f"format must be one of {', '.join(OUTPUT_FORMATS)}, got {output_format!r}"
+        )
+    threads = pick(args.threads, "threads", int, 1)
+    if threads < 1:
+        raise UsageError(f"threads must be >= 1, got {threads}")
+
     ceiling_default = exact_ceiling()
     return RunConfig(
         exact_ceiling=pick(None, "exact_ceiling", int, ceiling_default),
         spec=spec,
         n=pick(args.n, "n", int, None),
         n_range=_parse_n_range(n_range_text) if n_range_text is not None else None,
-        c0=pick(args.c0, "c0", float, 0.0),
-        c=pick(args.c, "c", float, 0.0),
-        output_format=pick(args.format, "format", str, "csv"),
+        c0=c0,
+        c=c,
+        output_format=output_format,
         output_path=pick(args.out, "out", str, None),
-        threads=pick(args.threads, "threads", int, 1),
+        threads=threads,
         tolerances=tolerances,
         huge=bool(pick(args.huge, "huge", _parse_bool, False)),
         only=pick(args.only, "only", str, None),
@@ -262,10 +279,11 @@ def _resolve_weights(config: RunConfig, single_only: bool = False) -> list[int]:
         )
     if top > HUGE_THRESHOLD and not config.huge:
         raise UsageError(
-            f"n = {top} is above the desk-scale threshold {HUGE_THRESHOLD}: "
-            f"the DP state needs about {_dp_state_estimate(top)} and the run "
-            "time grows superlinearly (n = 50000 takes hours); "
-            "pass --huge to acknowledge"
+            f"n = {top} is above the desk-scale threshold {HUGE_THRESHOLD}; "
+            "pass --huge to acknowledge.  One weight takes about 2 s even at "
+            "n = 5000, but a sweep runs the family DP, whose time grows like "
+            "n^2.7 (about 20 s at n = 3000 for N = 2) and whose state is about "
+            f"{_dp_state_estimate(top)} here"
         )
     return ns
 
@@ -301,6 +319,17 @@ def _map_rows(
     return [row_fn(item) for item in items]
 
 
+def _write(config: RunConfig, text: str, out: TextIO) -> None:
+    if not config.output_path:
+        out.write(text)
+        return
+    try:
+        with open(config.output_path, "w", encoding="utf-8", newline="") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise UsageError(f"cannot write --out {config.output_path}: {exc}") from exc
+
+
 def _emit(config: RunConfig, header: list[str], rows: list[dict[str, str]], out: TextIO) -> None:
     if config.output_format == "json":
         text = json.dumps(rows, indent=2) + "\n"
@@ -308,11 +337,7 @@ def _emit(config: RunConfig, header: list[str], rows: list[dict[str, str]], out:
         lines = [",".join(header)]
         lines.extend(",".join(row[col] for col in header) for row in rows)
         text = "\n".join(lines) + "\n"
-    if config.output_path:
-        with open(config.output_path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
-    else:
-        out.write(text)
+    _write(config, text, out)
 
 
 # ---------------------------------------------------------------------------
@@ -448,12 +473,7 @@ def cmd_verify(config: RunConfig, out: TextIO) -> int:
             )
             result = replace(result, bound=bound, passed=passed)
         adjusted.append(result)
-    text = "".join(r.to_json_line() + "\n" for r in adjusted)
-    if config.output_path:
-        with open(config.output_path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
-    else:
-        out.write(text)
+    _write(config, "".join(r.to_json_line() + "\n" for r in adjusted), out)
     return 0 if all(r.passed for r in adjusted) else 1
 
 

@@ -11,19 +11,44 @@ n |-> {k: f(k)} where f(k) is the number of distinct-part partitions of n with
 parity difference exactly k, and the derived tail counts
 sum_{k >= ceil(c)} f(k).  No floats enter any computation here.
 
-The DP iterates over parts p = 1..n, using each part 0 or 1 times.  The state
-is packed: for each difference offset k we keep ONE Python integer whose s-th
-W-bit limb holds f_s(k), the count for residual sum s.  Adding a part p then
-becomes a single shifted big-integer addition (shift by p*W limbs), and one
-pass at n_max yields the exact distribution for EVERY weight s <= n_max.
-W is sized from the classical growth bound log2 d(n) ~ pi*sqrt(n/3)*log2(e)
-plus guard bits, so limbs never overflow into their neighbours.
+Both engines keep series packed: one Python integer whose s-th W-bit limb
+holds the coefficient of q^s, so multiplying by 1 + q^p is one shifted
+big-integer addition (shift by p*W bits), truncated at degree n.  Each job
+runs exactly one engine:
+
+* pd_distribution (one weight n) uses the class-factored engine.  The
+  generating function factorises by residue class,
+
+      prod_{p == alpha} (1 + z q^p) * prod_{p == beta} (1 + q^p / z)
+          * prod_{other p} (1 + q^p),
+
+  and Euler's identity puts each class side in closed form: the z^j column of
+  the alpha side is A_j = q^{alpha j + N j(j-1)/2} / prod_{i<=j} (1 - q^{Ni}),
+  and likewise B_l on the beta side.  The neutral product D, the columns A_j
+  and the columns E_l = B_l * D are all built by shifts and doubling adds
+  (a division by 1 - q^a is the product of 1 + q^a, 1 + q^{2a}, ...), and
+  f(k) is the degree-n coefficient of sum_{j - l = k} A_j * E_l: a dot
+  product of unpacked limbs per column pair, about n^2 limb products in all.
+* pd_distribution_family (every weight s <= n_max) runs the packed DP over
+  parts p = 1..n_max, one packed integer per difference offset k, whose s-th
+  limb is f_s(k).  One pass yields every weight at once, at about n^2.7.
+
+Limbs never overflow.  Every limb at degree s <= n of every packed series
+either engine builds (A_j, E_l, D and every partial sum on the way to them,
+or a DP state entry) is coefficientwise at most a series that counts
+partitions of s into distinct parts, so it is at most d(s) <= d(n).  And d(n) q^n <= prod_k (1 + q^k) <= exp(pi^2 / (12 t)) at
+q = e^{-t}; t = pi / sqrt(12 n) gives d(n) <= e^{pi sqrt(n/3)} < 2^(W-15)
+for the W of _limb_width_bits (in practice d(n) < 2^(W-16)).  Shifts and
+carries only move upward, so truncating at degree n drops exactly the terms
+above n.  The unpacked dot products are plain Python integers.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 import os
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 __all__ = [
@@ -211,7 +236,7 @@ def pd(partition: Partition, spec: ParitySpec) -> int:
 
 
 # ---------------------------------------------------------------------------
-# packed big-integer DP
+# packed series, shared by both engines
 # ---------------------------------------------------------------------------
 
 
@@ -225,6 +250,25 @@ def _limb_width_bits(n: int) -> int:
     bound = math.pi * math.sqrt(max(n, 1) / 3.0) / math.log(2.0)
     bits = int(bound) + 16
     return ((bits + 7) // 8) * 8
+
+
+def _unpack(packed: int, W: int, n: int, start: int, stride: int) -> list[int]:
+    """Limbs start, start + stride, ... <= n of a packed series."""
+    Wb = W // 8
+    blob = packed.to_bytes((n + 1) * Wb, "little")
+    return [
+        int.from_bytes(blob[i : i + Wb], "little")
+        for i in range(start * Wb, (n + 1) * Wb, stride * Wb)
+    ]
+
+
+def _sorted_counts(row: dict[int, int]) -> dict[int, int]:
+    return {k: row[k] for k in sorted(row)}
+
+
+# ---------------------------------------------------------------------------
+# packed big-integer DP (every weight)
+# ---------------------------------------------------------------------------
 
 
 def _run_packed_dp(n: int, spec: ParitySpec) -> tuple[list[int], int, int]:
@@ -259,27 +303,83 @@ def _run_packed_dp(n: int, spec: ParitySpec) -> tuple[list[int], int, int]:
     return state, m, W
 
 
-def _extract_rows(
-    state: list[int], m: int, W: int, n: int, weights: list[int]
-) -> dict[int, dict[int, int]]:
-    """Unpack limbs: rows[s] = {k: f_s(k)} for each requested weight s."""
-    Wb = W // 8
-    limbs = n + 1
-    rows: dict[int, dict[int, int]] = {s: {} for s in weights}
+def _extract_rows(state: list[int], m: int, W: int, n: int) -> list[dict[int, int]]:
+    """Unpack limbs: rows[s] = {k: f_s(k)} for every weight s <= n."""
+    rows: list[dict[int, int]] = [{} for _ in range(n + 1)]
     for i, packed in enumerate(state):
-        if packed == 0:
-            continue
-        blob = packed.to_bytes(limbs * Wb, "little")
-        k = i - m
-        for s in weights:
-            c = int.from_bytes(blob[s * Wb : (s + 1) * Wb], "little")
-            if c:
-                rows[s][k] = c
+        if packed:
+            for s, c in enumerate(_unpack(packed, W, n, 0, 1)):
+                if c:
+                    rows[s][i - m] = c
     return rows
 
 
-def _sorted_counts(row: dict[int, int]) -> dict[int, int]:
-    return {k: row[k] for k in sorted(row)}
+# ---------------------------------------------------------------------------
+# class-factored engine (one weight)
+# ---------------------------------------------------------------------------
+
+
+def _class_columns(
+    seed: int, r: int, N: int, n: int, W: int, mask: int
+) -> Iterator[tuple[int, int]]:
+    """Yield (lowest degree, seed * X_j) for j = 0, 1, ... while X_j has a term
+    of degree <= n, as packed W-bit-limb series truncated at degree n.
+
+    X_j = q^{rj + Nj(j-1)/2} / prod_{i<=j} (1 - q^{Ni}) is Euler's closed form
+    for the z^j coefficient of prod_{p == r (mod N)} (1 + z q^p), with r in
+    1..N the smallest such part.  Column j comes from column j - 1 by a shift
+    of r + N(j-1) limbs and a division by 1 - q^{Nj}, which is the product of
+    (1 + q^a) over a = Nj, 2Nj, 4Nj, ... <= n: one shifted add per factor.
+    """
+    x, low, j = seed, 0, 0
+    while True:
+        yield low, x
+        step = r + N * j
+        low += step
+        j += 1
+        if low > n:
+            return
+        x = (x << step * W) & mask
+        a = N * j
+        while a <= n:
+            x = (x + (x << a * W)) & mask
+            a *= 2
+
+
+def _class_factored_counts(n: int, spec: ParitySpec) -> dict[int, int]:
+    """f(k) = [q^n] sum_{j - l = k} A_j * B_l * D for one weight n >= 1.
+
+    A_j and B_l are the alpha and beta class columns (see _class_columns) and
+    D = prod (1 + q^p) over the parts p <= n in neither class.  The beta side
+    is built as E_l = B_l * D by seeding its recurrence with D, so no two
+    series are ever multiplied: only the degree-n coefficient of A_j * E_l is
+    needed, a dot product of unpacked limbs.
+    """
+    N = spec.N
+    W = _limb_width_bits(n)
+    mask = (1 << ((n + 1) * W)) - 1
+    D = 1
+    for r in range(1, N + 1):
+        if r != spec.alpha and r != spec.beta:
+            # D * prod_{p == r} (1 + q^p) = sum_j D * X_j, by Euler's identity at z = 1
+            D = sum(x for _, x in _class_columns(D, r, N, n, W, mask))
+    # A_j is q^{low} times a series in q^N: keep only limbs low, low + N, ...
+    a_cols = [
+        (low, _unpack(x, W, n, low, N))
+        for low, x in _class_columns(1, spec.alpha, N, n, W, mask)
+    ]
+    counts: dict[int, int] = {}
+    for l, (low_e, e) in enumerate(_class_columns(D, spec.beta, N, n, W, mask)):
+        # e_rev[s] = E_l[n - s], the limb paired with A_j[s]; s <= n - low_e
+        e_rev = _unpack(e, W, n, low_e, 1)[::-1]
+        top = n - low_e
+        for j, (low_a, a) in enumerate(a_cols):
+            if low_a > top:
+                break
+            term = sum(map(operator.mul, a, e_rev[low_a : top + 1 : N]))
+            if term:
+                counts[j - l] = counts.get(j - l, 0) + term
+    return counts
 
 
 def pd_distribution(
@@ -291,9 +391,7 @@ def pd_distribution(
     _check_ceiling(n, ceiling)
     if n == 0:
         return PdDistribution(0, spec, {0: 1})
-    state, m, W = _run_packed_dp(n, spec)
-    row = _extract_rows(state, m, W, n, [n])[n]
-    return PdDistribution(n, spec, _sorted_counts(row))
+    return PdDistribution(n, spec, _sorted_counts(_class_factored_counts(n, spec)))
 
 
 def pd_distribution_family(
@@ -301,9 +399,9 @@ def pd_distribution_family(
 ) -> list[PdDistribution]:
     """Distributions for every 0 <= n <= n_max from a single DP pass.
 
-    The packed DP already carries one limb per weight, so the whole family
-    costs the same as the single distribution at n_max.  Sweep commands and
-    the n-by-n acceptance checks use this instead of n_max separate runs.
+    The packed DP carries one limb per weight, so the whole family costs one
+    DP pass at n_max (about n_max^2.7).  Sweep commands and the n-by-n
+    acceptance checks use this instead of n_max separate runs.
     """
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
@@ -311,10 +409,8 @@ def pd_distribution_family(
     if n_max == 0:
         return [PdDistribution(0, spec, {0: 1})]
     state, m, W = _run_packed_dp(n_max, spec)
-    rows = _extract_rows(state, m, W, n_max, list(range(n_max + 1)))
-    return [
-        PdDistribution(s, spec, _sorted_counts(rows[s])) for s in range(n_max + 1)
-    ]
+    rows = _extract_rows(state, m, W, n_max)
+    return [PdDistribution(s, spec, _sorted_counts(row)) for s, row in enumerate(rows)]
 
 
 # ---------------------------------------------------------------------------

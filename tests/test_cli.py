@@ -239,6 +239,52 @@ def test_argparse_usage_error_is_exit_2(capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("count", "--n", "100", "--c", "inf"),
+        ("count", "--n", "150", "--c=-inf"),
+        ("count", "--n", "40", "--c", "nan"),
+        ("compare", "--n", "100", "--c0", "inf"),
+        ("compare", "--n-range", "50:80:10", "--c0", "nan"),
+    ],
+)
+def test_non_finite_threshold_is_usage_error(capsys, argv):
+    code, _, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert err.startswith("error:") and "finite" in err
+
+
+@pytest.mark.parametrize("threads", ["0", "-3"])
+def test_threads_below_one_is_usage_error(capsys, threads):
+    code, _, err = run_cli(capsys, "count", "--n", "8", "--threads", threads)
+    assert code == 2
+    assert "threads" in err
+
+
+@pytest.mark.parametrize(
+    "line, word", [("format=xml", "format"), ("threads=0", "threads"), ("c=inf", "finite")]
+)
+def test_config_values_are_validated(capsys, tmp_path, line, word):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(line + "\n")
+    code, out, err = run_cli(capsys, "count", "--n", "8", "--config", str(cfg))
+    assert code == 2
+    assert out == ""
+    assert word in err
+
+
+@pytest.mark.parametrize(
+    "argv", [("count", "--n", "8"), ("verify", "--only", "check_lambda_identity")]
+)
+def test_unwritable_out_is_usage_error(capsys, tmp_path, argv):
+    target = tmp_path / "no-such-dir" / "rows.csv"
+    code, out, err = run_cli(capsys, *argv, "--out", str(target))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: cannot write --out")
+
+
 def test_ceiling_refusal_names_budget(capsys):
     code, _, err = run_cli(capsys, "count", "--n", "6000", "--c", "0")
     assert code == 3

@@ -21,6 +21,7 @@ from paritylab import (
     pd_distribution,
     pd_distribution_family,
 )
+from paritylab.exact import _limb_width_bits
 
 SPEC212 = ParitySpec(2, 1, 2)
 
@@ -223,3 +224,44 @@ def test_family_consistent_with_single_runs():
 def test_family_respects_ceiling():
     with pytest.raises(CeilingExceeded):
         pd_distribution_family(60, SPEC212, ceiling=50)
+
+
+# ---------------------------------------------------------------------------
+# the single-weight engine against the family DP and the invariants
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("N", range(2, 7))
+def test_single_engine_matches_family_dp_and_enumeration(N):
+    # every class pair of modulus N, residue 0 (alpha = N or beta = N) included
+    specs = [
+        ParitySpec(N, a, b)
+        for a in range(1, N + 1)
+        for b in range(1, N + 1)
+        if a != b
+    ]
+    families = {spec: pd_distribution_family(60, spec) for spec in specs}
+    for n in range(61):
+        residues = oracles.residue_count_histograms(n, (N,))[N]
+        for spec in specs:
+            counts = pd_distribution(n, spec).counts
+            assert counts == families[spec][n].counts, (n, spec)
+            assert counts == oracles.reduce_to_pd(residues, N, spec.alpha, spec.beta)
+
+
+@pytest.mark.parametrize("n", [2000, 3000])
+def test_single_engine_total_and_reflection_large(n):
+    d = count_distinct(n)
+    for spec in (ParitySpec(2, 1, 2), ParitySpec(5, 1, 2), ParitySpec(3, 2, 3)):
+        dist = pd_distribution(n, spec)
+        assert dist.total() == d
+        mirrored = pd_distribution(n, spec.swapped())
+        assert list(mirrored.counts.items()) == [
+            (-k, v) for k, v in reversed(dist.counts.items())
+        ]
+
+
+def test_limb_width_headroom(family2):
+    # every count is at most d(n); the limb keeps 16 bits above it
+    for dist in family2:
+        assert dist.total().bit_length() <= _limb_width_bits(dist.n) - 16
