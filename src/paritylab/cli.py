@@ -25,9 +25,8 @@ import argparse
 import json
 import math
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
-from typing import Callable, Iterable, Sequence, TextIO
+from typing import Callable, Sequence, TextIO
 
 from . import checks as checks_mod
 from .asymptotics import estimate_thm2, guarded_ceil
@@ -50,9 +49,10 @@ from .exact import (
 
 __all__ = ["RunConfig", "UsageError", "main"]
 
-# above this weight a sweep's family DP runs for tens of seconds to minutes
-# (time ~n^2.7; state only ~9 MB at 3000 and ~26 MB at 5000), while one weight
-# takes about 2 s even at 5000; require explicit opt-in
+# above this weight a sweep's family engine runs for tens of seconds (measured
+# for N = 2: ~6 s at 3000, ~28 s at 5000, time ~n^3; larger N is faster, and
+# the state is only ~9 MB at 3000 and ~26 MB at 5000), while one weight takes
+# about 2 s even at 5000; require explicit opt-in
 HUGE_THRESHOLD = 3000
 OUTPUT_FORMATS = ("csv", "json")
 
@@ -73,7 +73,6 @@ class RunConfig:
     c: float = 0.0
     output_format: str = "csv"
     output_path: str | None = None
-    threads: int = 1
     tolerances: dict[str, float] = field(default_factory=dict)
     huge: bool = False
     only: str | None = None
@@ -108,14 +107,21 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     common.add_argument("--format", choices=OUTPUT_FORMATS, default=None)
     common.add_argument("--out", default=None, metavar="PATH")
-    common.add_argument("--threads", type=int, default=None, metavar="K")
+    common.add_argument(
+        "--threads",
+        type=int,
+        default=None,
+        metavar="K",
+        help="accepted for compatibility (K >= 1) and ignored: rows are computed serially",
+    )
     common.add_argument("--config", default=None, metavar="PATH")
     common.add_argument(
         "--huge",
         action="store_const",
         const=True,
         default=None,
-        help=f"acknowledge a weight above {HUGE_THRESHOLD} (sweep time grows like n^2.7)",
+        help=f"acknowledge a weight above {HUGE_THRESHOLD} "
+        "(a sweep takes ~6 s at 3000 and ~28 s at 5000 for N = 2)",
     )
     common.add_argument(
         "--only", default=None, metavar="NAME", help="verify: run checks whose name starts with NAME"
@@ -218,6 +224,8 @@ def _build_config(args: argparse.Namespace) -> RunConfig:
         raise UsageError(
             f"format must be one of {', '.join(OUTPUT_FORMATS)}, got {output_format!r}"
         )
+    # --threads is a validated no-op: rows are cheap sums over one computed
+    # distribution, and the interpreter lock serialises them anyway
     threads = pick(args.threads, "threads", int, 1)
     if threads < 1:
         raise UsageError(f"threads must be >= 1, got {threads}")
@@ -232,7 +240,6 @@ def _build_config(args: argparse.Namespace) -> RunConfig:
         c=c,
         output_format=output_format,
         output_path=pick(args.out, "out", str, None),
-        threads=threads,
         tolerances=tolerances,
         huge=bool(pick(args.huge, "huge", _parse_bool, False)),
         only=pick(args.only, "only", str, None),
@@ -281,8 +288,9 @@ def _resolve_weights(config: RunConfig, single_only: bool = False) -> list[int]:
         raise UsageError(
             f"n = {top} is above the desk-scale threshold {HUGE_THRESHOLD}; "
             "pass --huge to acknowledge.  One weight takes about 2 s even at "
-            "n = 5000, but a sweep runs the family DP, whose time grows like "
-            "n^2.7 (about 20 s at n = 3000 for N = 2) and whose state is about "
+            "n = 5000, but a sweep runs the family engine, whose time grows like "
+            "n^3 (about 6 s at n = 3000 and 28 s at n = 5000 for N = 2, less for "
+            "larger N) and whose state is about "
             f"{_dp_state_estimate(top)} here"
         )
     return ns
@@ -300,23 +308,12 @@ def _dp_state_estimate(n: int) -> str:
 def _distributions_for(
     config: RunConfig, ns: list[int]
 ) -> dict[int, PdDistribution]:
-    """One DP pass when sweeping, a single-row pass otherwise."""
+    """One family pass when sweeping, a single-weight pass otherwise."""
     if len(ns) == 1:
         n = ns[0]
         return {n: pd_distribution(n, config.spec, config.exact_ceiling)}
     family = pd_distribution_family(max(ns), config.spec, config.exact_ceiling)
     return {n: family[n] for n in ns}
-
-
-def _map_rows(
-    config: RunConfig, items: Sequence, row_fn: Callable
-) -> list[dict[str, str]]:
-    # worker pool over the sweep; map() preserves input order, so output rows
-    # are emitted in input order no matter which worker finishes first
-    if config.threads > 1 and len(items) > 1:
-        with ThreadPoolExecutor(max_workers=config.threads) as pool:
-            return list(pool.map(row_fn, items))
-    return [row_fn(item) for item in items]
 
 
 def _write(config: RunConfig, text: str, out: TextIO) -> None:
@@ -354,7 +351,7 @@ def cmd_count(config: RunConfig, out: TextIO) -> int:
         count = sum(v for k, v in dists[n].counts.items() if k >= kc)
         return {"n": str(n), "c": _fmt_threshold(config.c), "count": str(count)}
 
-    _emit(config, ["n", "c", "count"], _map_rows(config, ns, row), out)
+    _emit(config, ["n", "c", "count"], [row(n) for n in ns], out)
     return 0
 
 
@@ -366,6 +363,8 @@ def cmd_compare(config: RunConfig, out: TextIO) -> int:
     ns = _resolve_weights(config)
     if any(n < 1 for n in ns):
         raise UsageError("compare needs weights >= 1")
+    if not math.isfinite(config.c0 * max(ns) ** 0.25):
+        raise UsageError(f"c0 * n^(1/4) overflows at c0 = {config.c0!r}")
     dists = _distributions_for(config, ns)
     swapped = config.spec.swapped()
 
@@ -402,7 +401,7 @@ def cmd_compare(config: RunConfig, out: TextIO) -> int:
         "ratio_two_ab",
         "ratio_two_ba",
     ]
-    _emit(config, header, _map_rows(config, ns, row), out)
+    _emit(config, header, [row(n) for n in ns], out)
     return 0
 
 

@@ -29,14 +29,19 @@ runs exactly one engine:
   (a division by 1 - q^a is the product of 1 + q^a, 1 + q^{2a}, ...), and
   f(k) is the degree-n coefficient of sum_{j - l = k} A_j * E_l: a dot
   product of unpacked limbs per column pair, about n^2 limb products in all.
-* pd_distribution_family (every weight s <= n_max) runs the packed DP over
-  parts p = 1..n_max, one packed integer per difference offset k, whose s-th
-  limb is f_s(k).  One pass yields every weight at once, at about n^2.7.
+* pd_distribution_family (every weight s <= n_max) keeps one packed series
+  per difference k, whose s-th limb is f_s(k).  The same closed forms are
+  full series truncated at degree n_max, so they carry every weight at once:
+  row k = j starts as D * A_j, and only the beta side runs a DP, one shifted
+  add per beta part and row (the source masked to the limbs that stay at
+  degree <= n_max).  For N = 2 that is about 6 s at n_max = 3000, roughly
+  n^3, and larger N is faster.
 
 Limbs never overflow.  Every limb at degree s <= n of every packed series
 either engine builds (A_j, E_l, D and every partial sum on the way to them,
-or a DP state entry) is coefficientwise at most a series that counts
-partitions of s into distinct parts, so it is at most d(s) <= d(n).  And d(n) q^n <= prod_k (1 + q^k) <= exp(pi^2 / (12 t)) at
+or a family row at any point of the beta pass) is coefficientwise at most a
+series that counts partitions of s into distinct parts, so it is at most
+d(s) <= d(n).  And d(n) q^n <= prod_k (1 + q^k) <= exp(pi^2 / (12 t)) at
 q = e^{-t}; t = pi / sqrt(12 n) gives d(n) <= e^{pi sqrt(n/3)} < 2^(W-15)
 for the W of _limb_width_bits (in practice d(n) < 2^(W-16)).  Shifts and
 carries only move upward, so truncating at degree n drops exactly the terms
@@ -267,55 +272,7 @@ def _sorted_counts(row: dict[int, int]) -> dict[int, int]:
 
 
 # ---------------------------------------------------------------------------
-# packed big-integer DP (every weight)
-# ---------------------------------------------------------------------------
-
-
-def _run_packed_dp(n: int, spec: ParitySpec) -> tuple[list[int], int, int]:
-    """Run the DP over parts 1..n; return (state, offset m, limb width W).
-
-    state[i] is a big integer whose s-th W-bit limb is f_s(i - m): the number
-    of partitions of s into distinct parts <= n with parity difference i - m.
-    """
-    W = _limb_width_bits(n)
-    m = m_max(n)
-    width = 2 * m + 1
-    limbs = n + 1
-    mask = (1 << (limbs * W)) - 1
-    ra = spec.alpha % spec.N
-    rb = spec.beta % spec.N
-
-    state = [0] * width
-    state[m] = 1  # the empty partition: sum 0, difference 0
-    for p in range(1, n + 1):
-        sh = p * W
-        r = p % spec.N
-        if r == ra:
-            # taking p moves k -> k+1; iterate downward so each p is used once
-            for i in range(width - 1, 0, -1):
-                state[i] = (state[i] + (state[i - 1] << sh)) & mask
-        elif r == rb:
-            for i in range(width - 1):
-                state[i] = (state[i] + (state[i + 1] << sh)) & mask
-        else:
-            for i in range(width):
-                state[i] = (state[i] + (state[i] << sh)) & mask
-    return state, m, W
-
-
-def _extract_rows(state: list[int], m: int, W: int, n: int) -> list[dict[int, int]]:
-    """Unpack limbs: rows[s] = {k: f_s(k)} for every weight s <= n."""
-    rows: list[dict[int, int]] = [{} for _ in range(n + 1)]
-    for i, packed in enumerate(state):
-        if packed:
-            for s, c in enumerate(_unpack(packed, W, n, 0, 1)):
-                if c:
-                    rows[s][i - m] = c
-    return rows
-
-
-# ---------------------------------------------------------------------------
-# class-factored engine (one weight)
+# class columns (Euler's identity), shared by both engines
 # ---------------------------------------------------------------------------
 
 
@@ -346,23 +303,35 @@ def _class_columns(
             a *= 2
 
 
-def _class_factored_counts(n: int, spec: ParitySpec) -> dict[int, int]:
-    """f(k) = [q^n] sum_{j - l = k} A_j * B_l * D for one weight n >= 1.
-
-    A_j and B_l are the alpha and beta class columns (see _class_columns) and
-    D = prod (1 + q^p) over the parts p <= n in neither class.  The beta side
-    is built as E_l = B_l * D by seeding its recurrence with D, so no two
-    series are ever multiplied: only the degree-n coefficient of A_j * E_l is
-    needed, a dot product of unpacked limbs.
-    """
+def _neutral_series(n: int, spec: ParitySpec, W: int, mask: int) -> int:
+    """D = prod (1 + q^p) over the parts p <= n in neither class, packed."""
     N = spec.N
-    W = _limb_width_bits(n)
-    mask = (1 << ((n + 1) * W)) - 1
     D = 1
     for r in range(1, N + 1):
         if r != spec.alpha and r != spec.beta:
             # D * prod_{p == r} (1 + q^p) = sum_j D * X_j, by Euler's identity at z = 1
             D = sum(x for _, x in _class_columns(D, r, N, n, W, mask))
+    return D
+
+
+# ---------------------------------------------------------------------------
+# one weight
+# ---------------------------------------------------------------------------
+
+
+def _class_factored_counts(n: int, spec: ParitySpec) -> dict[int, int]:
+    """f(k) = [q^n] sum_{j - l = k} A_j * B_l * D for one weight n >= 1.
+
+    A_j and B_l are the alpha and beta class columns (see _class_columns) and
+    D is the neutral series (see _neutral_series).  The beta side is built as
+    E_l = B_l * D by seeding its recurrence with D, so no two series are ever
+    multiplied: only the degree-n coefficient of A_j * E_l is needed, a dot
+    product of unpacked limbs.
+    """
+    N = spec.N
+    W = _limb_width_bits(n)
+    mask = (1 << ((n + 1) * W)) - 1
+    D = _neutral_series(n, spec, W, mask)
     # A_j is q^{low} times a series in q^N: keep only limbs low, low + N, ...
     a_cols = [
         (low, _unpack(x, W, n, low, N))
@@ -394,21 +363,69 @@ def pd_distribution(
     return PdDistribution(n, spec, _sorted_counts(_class_factored_counts(n, spec)))
 
 
+# ---------------------------------------------------------------------------
+# every weight
+# ---------------------------------------------------------------------------
+
+
+def _family_state(n: int, spec: ParitySpec) -> tuple[list[int], int, int]:
+    """Return (state, offset m, limb width W) for every weight <= n at once.
+
+    state[i] is a packed series whose s-th W-bit limb is f_s(i - m).  The
+    neutral and alpha sides are closed forms: row m + j starts as D * A_j.
+    The beta parts p = beta, beta + N, ... <= n then each move difference
+    k + 1 to k (row i + 1 to row i, ascending i so every part is taken at
+    most once).  Only the limbs of degree <= n - p of the source can land at
+    degree <= n, so the source is masked to them before the shift, and the
+    sum stays below 2^{(n+1)W} by the no-overflow argument in the module
+    docstring.
+    """
+    N = spec.N
+    W = _limb_width_bits(n)
+    m = m_max(n)
+    mask = (1 << ((n + 1) * W)) - 1
+    D = _neutral_series(n, spec, W, mask)
+    state = [0] * (2 * m + 1)
+    for j, (_, x) in enumerate(_class_columns(D, spec.alpha, N, n, W, mask)):
+        state[m + j] = x
+    for p in range(spec.beta, n + 1, N):
+        sh = p * W
+        low = (1 << ((n + 1 - p) * W)) - 1
+        for i in range(2 * m):
+            src = state[i + 1]
+            if src:
+                state[i] += (src & low) << sh
+    return state, m, W
+
+
+def _extract_rows(state: list[int], m: int, W: int, n: int) -> list[dict[int, int]]:
+    """Unpack limbs: rows[s] = {k: f_s(k)} for every weight s <= n."""
+    rows: list[dict[int, int]] = [{} for _ in range(n + 1)]
+    for i, packed in enumerate(state):
+        if packed:
+            for s, c in enumerate(_unpack(packed, W, n, 0, 1)):
+                if c:
+                    rows[s][i - m] = c
+    return rows
+
+
 def pd_distribution_family(
     n_max: int, spec: ParitySpec, ceiling: int | None = None
 ) -> list[PdDistribution]:
-    """Distributions for every 0 <= n <= n_max from a single DP pass.
+    """Distributions for every 0 <= n <= n_max from a single pass.
 
-    The packed DP carries one limb per weight, so the whole family costs one
-    DP pass at n_max (about n_max^2.7).  Sweep commands and the n-by-n
-    acceptance checks use this instead of n_max separate runs.
+    Every packed series carries one limb per weight, so the whole family
+    costs one pass at n_max: closed-form neutral and alpha sides, then one
+    shifted add per beta part and difference row (about 6 s at n_max = 3000
+    for N = 2, less for larger N).  Sweep commands and the n-by-n acceptance
+    checks use this instead of n_max separate runs.
     """
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
     _check_ceiling(n_max, ceiling)
     if n_max == 0:
         return [PdDistribution(0, spec, {0: 1})]
-    state, m, W = _run_packed_dp(n_max, spec)
+    state, m, W = _family_state(n_max, spec)
     rows = _extract_rows(state, m, W, n_max)
     return [PdDistribution(s, spec, _sorted_counts(row)) for s, row in enumerate(rows)]
 

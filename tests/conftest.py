@@ -2,8 +2,8 @@ import pytest
 
 from paritylab import ParitySpec, pd_distribution_family
 
-# Session-wide exact family tables: one packed-DP pass per spec yields the
-# full distribution for every weight up to 2000, which is what the sweep
+# Session-wide exact family tables: one family-engine pass per spec yields
+# the full distribution for every weight up to 2000, which is what the sweep
 # criteria consume.  Building them once keeps the whole suite in seconds.
 
 

@@ -3,9 +3,10 @@
 Everything in this file is deliberately written with a different algorithm
 and a different code shape from the package under test: include/exclude
 subset recursion instead of largest-part-first generation, a dict-of-Counter
-DP instead of packed big-integer limbs, and a plain one-dimensional DP for
-the distinct-part counting sequence.  If the package and this file agree,
-the agreement means something.
+DP instead of packed big-integer limbs, a packed DP over every part instead
+of the package's class-factored closed forms, and a plain one-dimensional DP
+for the distinct-part counting sequence.  If the package and this file
+agree, the agreement means something.
 """
 
 from collections import Counter
@@ -91,3 +92,44 @@ def pd_histograms_upto(n_max: int, N: int, alpha: int, beta: int) -> list[dict[i
                 for k, v in lower.items():
                     tw[k + step] += v
     return [dict(t) for t in table]
+
+
+def packed_dp_family(n_max: int, N: int, alpha: int, beta: int) -> list[dict[int, int]]:
+    """f_s(k) for every weight s <= n_max by the packed DP over parts 1..n_max.
+
+    One Python int per difference k holds a series whose s-th W-bit limb is
+    f_s(k); taking part p adds the neighbouring row shifted by p limbs.  This
+    visits every part and every difference row (about n^2.7), so it is the
+    large-n reference for the package's family engine, not a fast path.
+    """
+    W = 8 * (count_distinct_upto(n_max)[-1].bit_length() // 8 + 1)  # every limb <= d(n_max)
+    m = 0
+    while (m + 1) * (m + 2) // 2 <= n_max:
+        m += 1  # most parts a distinct-part partition of n_max can have
+    width = 2 * m + 1
+    mask = (1 << ((n_max + 1) * W)) - 1
+    ra, rb = alpha % N, beta % N
+    state = [0] * width
+    state[m] = 1  # the empty partition: sum 0, difference 0
+    for p in range(1, n_max + 1):
+        sh = p * W
+        r = p % N
+        if r == ra:
+            # taking p moves k -> k+1; iterate downward so each p is used once
+            for i in range(width - 1, 0, -1):
+                state[i] = (state[i] + (state[i - 1] << sh)) & mask
+        elif r == rb:
+            for i in range(width - 1):
+                state[i] = (state[i] + (state[i + 1] << sh)) & mask
+        else:
+            for i in range(width):
+                state[i] = (state[i] + (state[i] << sh)) & mask
+    Wb = W // 8
+    rows: list[dict[int, int]] = [{} for _ in range(n_max + 1)]
+    for i, packed in enumerate(state):
+        blob = packed.to_bytes((n_max + 1) * Wb, "little")
+        for s in range(n_max + 1):
+            c = int.from_bytes(blob[s * Wb : (s + 1) * Wb], "little")
+            if c:
+                rows[s][i - m] = c
+    return rows

@@ -1,8 +1,12 @@
+import contextlib
+import io
 import json
 import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import paritylab.specialfn as specialfn
 from paritylab.cli import main
@@ -302,3 +306,60 @@ def test_huge_gate(capsys):
     code, _, err = run_cli(capsys, "count", "--n", "3200", "--c", "0")
     assert code == 2
     assert "--huge" in err and "MB" in err
+
+
+# ---------------------------------------------------------------------------
+# fuzz: every input ends in a contract exit code, never a traceback
+# ---------------------------------------------------------------------------
+
+
+def _maybe(flag, values):
+    # the flag is absent, or present as --flag=VALUE (so "-inf" is not an option)
+    return st.one_of(st.just(()), values.map(lambda v: (f"{flag}={v}",)))
+
+
+_N_RANGES = st.one_of(
+    st.tuples(st.integers(-3, 60), st.integers(-3, 60), st.integers(-1, 20)).map(
+        lambda t: "%d:%d:%d" % (min(t[:2]), max(t[:2]), t[2])
+    ),
+    st.tuples(st.integers(-3, 60), st.integers(-3, 60)).map(lambda t: "%d:%d" % t),
+    st.text(max_size=8),
+)
+
+
+@st.composite
+def _class_pair(draw):
+    if draw(st.booleans()):
+        N = draw(st.integers(2, 7))
+        alpha, beta = draw(st.permutations(range(1, N + 1)))[:2]
+        return ("--N=%d" % N, "--alpha=%d" % alpha, "--beta=%d" % beta)
+    return sum((draw(_maybe(f, st.integers(-1, 7))) for f in ("--N", "--alpha", "--beta")), ())
+
+
+@st.composite
+def _cli_argv(draw):
+    argv = [draw(st.sampled_from(["count", "compare", "dist", "bias"]))]
+    # one weight flag twice as often as both or neither, so most draws get past
+    # weight parsing and reach the exact engine and the row formatting
+    weights = draw(st.sampled_from(["n", "n", "n-range", "n-range", "both", "neither"]))
+    if weights in ("n", "both"):
+        argv.append("--n=%d" % draw(st.integers(-3, 60)))
+    if weights in ("n-range", "both"):
+        argv.append("--n-range=" + draw(_N_RANGES))
+    argv += draw(_class_pair())
+    for flag in ("--c", "--c0"):
+        argv += draw(_maybe(flag, st.one_of(st.floats(-10, 10), st.floats()).map(repr)))
+    argv += draw(_maybe("--threads", st.integers(-2, 4)))
+    argv += draw(_maybe("--format", st.sampled_from(["csv", "json", "xml"])))
+    return argv
+
+
+@given(_cli_argv())
+@example(["compare", "--n=60", "--c0=1e308"])  # c0 * n^(1/4) overflows to inf
+@settings(max_examples=60, deadline=None)
+def test_fuzz_exit_codes_and_no_traceback(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 2, 3), (argv, err.getvalue())
+    assert "Traceback" not in err.getvalue()

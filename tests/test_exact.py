@@ -249,6 +249,29 @@ def test_single_engine_matches_family_dp_and_enumeration(N):
             assert counts == oracles.reduce_to_pd(residues, N, spec.alpha, spec.beta)
 
 
+@pytest.mark.parametrize("N", range(2, 7))
+def test_family_matches_packed_dp_and_dict_dp(N):
+    # every class pair of modulus N, residue 0 (alpha = N or beta = N) included
+    for a in range(1, N + 1):
+        for b in range(1, N + 1):
+            if a == b:
+                continue
+            rows = [d.counts for d in pd_distribution_family(60, ParitySpec(N, a, b))]
+            assert rows == oracles.packed_dp_family(60, N, a, b), (N, a, b)
+            assert rows == oracles.pd_histograms_upto(60, N, a, b), (N, a, b)
+
+
+@pytest.mark.parametrize(
+    "spec, n_max",
+    [(ParitySpec(2, 1, 2), 1230), (ParitySpec(3, 2, 3), 1230), (ParitySpec(5, 1, 2), 1430)],
+)
+def test_family_matches_packed_dp_at_sweep_top_weights(spec, n_max):
+    family = pd_distribution_family(n_max, spec)
+    ref = oracles.packed_dp_family(n_max, spec.N, spec.alpha, spec.beta)
+    assert [d.counts for d in family] == ref
+    assert [d.total() for d in family] == oracles.count_distinct_upto(n_max)
+
+
 @pytest.mark.parametrize("n", [2000, 3000])
 def test_single_engine_total_and_reflection_large(n):
     d = count_distinct(n)
