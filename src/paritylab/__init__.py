@@ -2,9 +2,9 @@
 
 The package splits into five layers:
 
-* :mod:`paritylab.exact` — big-integer dynamic programming for the exact
+* :mod:`paritylab.exact` — packed big-integer engines for the exact
   joint distribution of the parity difference over partitions into distinct
-  parts, plus the derived tail counts and bias sums.
+  parts, plus the tail counts and bias values read off a distribution.
 * :mod:`paritylab.specialfn` — the special functions the estimates need
   (complementary error function, Bernoulli polynomials, dilogarithm and
   relatives, the Euler–Maclaurin ray formula).
@@ -56,11 +56,8 @@ from .distribution import (
     bias_mode_prediction,
     bias_profile_of,
     bias_support_bound,
-    build_bias_profile,
-    build_histogram,
     gaussian_density,
     histogram_of,
-    ks_distance,
     ks_distance_of,
 )
 from .exact import (
@@ -71,7 +68,6 @@ from .exact import (
     ParitySpec,
     Partition,
     PdDistribution,
-    count_at_least,
     count_at_least_of,
     count_distinct,
     enumerate_distinct,
@@ -106,7 +102,6 @@ __all__ = [
     "ParitySpec",
     "Partition",
     "PdDistribution",
-    "count_at_least",
     "count_at_least_of",
     "count_distinct",
     "enumerate_distinct",
@@ -153,11 +148,8 @@ __all__ = [
     "bias_mode_prediction",
     "bias_profile_of",
     "bias_support_bound",
-    "build_bias_profile",
-    "build_histogram",
     "gaussian_density",
     "histogram_of",
-    "ks_distance",
     "ks_distance_of",
     # checks
     "CHECK_COMPARISONS",

@@ -34,7 +34,7 @@ from typing import Sequence
 import numpy as np
 
 from .exact import ParitySpec
-from .specialfn import erfc
+from .specialfn import _SQRT_PI, _erfc_cf, erfc
 
 __all__ = [
     "LogScaledValue",
@@ -45,6 +45,7 @@ __all__ = [
     "nh_value",
     "residue_tuples",
     "l_count_check",
+    "n3_class_shift",
     "guarded_ceil",
     "boundary_data",
     "estimate_thm1",
@@ -320,6 +321,27 @@ def _log_prefactor(n: int) -> float:
     return math.pi * math.sqrt(n / 3.0) - 0.75 * math.log(n)
 
 
+def _log_erfc(x: float) -> float:
+    # log erfc(x).  Past x ~ 26.6 erfc underflows to 0 although its log is
+    # finite, so there it is taken in log form from erfc(x) =
+    # e^{-x^2} / (sqrt(pi) f(x)), f the continued fraction; -inf only once
+    # x^2 overflows
+    val = erfc(x)
+    if val > 0.0:
+        return math.log(val)
+    log_val = -x * x
+    if log_val == -math.inf:
+        return log_val
+    return log_val - math.log(_SQRT_PI * _erfc_cf(x))
+
+
+def _log_scaled(sign: int, log_abs: float) -> LogScaledValue:
+    # a term whose log magnitude underflowed to -inf is exactly zero here
+    if log_abs == -math.inf:
+        return LogScaledValue.zero()
+    return LogScaledValue(sign, log_abs)
+
+
 def _second_term(
     n: int, N: int, beta_minus_alpha: int, partial_star: float, c0: float
 ) -> LogScaledValue:
@@ -336,7 +358,7 @@ def _second_term(
         - 0.25 * math.log(n)
         + _log_prefactor(n)
     )
-    return LogScaledValue(1 if coef > 0 else -1, log_mag)
+    return _log_scaled(1 if coef > 0 else -1, log_mag)
 
 
 def estimate_thm1(
@@ -363,9 +385,9 @@ def estimate_thm1(
     bma = spec.beta - spec.alpha
     log_pref = _log_prefactor(n)
 
-    erfc_val = erfc(c0 * math.sqrt(math.pi * N) / (2.0 * _Q3))
+    log_erfc = _log_erfc(c0 * math.sqrt(math.pi * N) / (2.0 * _Q3))
     log_main_per_tuple = (
-        math.log(erfc_val) - math.log(8.0 * _Q3) - (N - 1) * math.log(N) + log_pref
+        log_erfc - math.log(8.0 * _Q3) - (N - 1) * math.log(N) + log_pref
     )
 
     t = c0 * n**0.25
@@ -384,13 +406,13 @@ def estimate_thm1(
             (l[spec.alpha - 1] - l[spec.beta - 1] - ceil_c) % N for l in tuples
         ]
         delta_counts = dict(sorted(Counter(deltas).items()))
-        main_per_tuple = LogScaledValue(1, log_main_per_tuple)
+        main_per_tuple = _log_scaled(1, log_main_per_tuple)
         per_tuple = [
             (l, main_per_tuple, _second_term(n, N, bma, partial + d, c0))
             for l, d in zip(tuples, deltas)
         ]
 
-    main_total = LogScaledValue(1, log_main_per_tuple + math.log(tuple_count))
+    main_total = _log_scaled(1, log_main_per_tuple + math.log(tuple_count))
     second_total = LogScaledValue.zero()
     for d in sorted(delta_counts):
         cnt = delta_counts[d]
@@ -416,8 +438,8 @@ def estimate_thm2(n: int, spec: ParitySpec, c0: float) -> EstimateTerms:
     if n < 1:
         raise ValueError("n must be >= 1")
     log_pref = _log_prefactor(n)
-    erfc_val = erfc(c0 * math.sqrt(math.pi * N) / (2.0 * _Q3))
-    main = LogScaledValue(1, math.log(erfc_val) - math.log(8.0 * _Q3) + log_pref)
+    log_erfc = _log_erfc(c0 * math.sqrt(math.pi * N) / (2.0 * _Q3))
+    main = _log_scaled(1, log_erfc - math.log(8.0 * _Q3) + log_pref)
 
     _, partial = guarded_ceil(c0 * n**0.25)
     coef = (spec.beta - spec.alpha) + N - 2.0 * N * partial
@@ -431,7 +453,7 @@ def estimate_thm2(n: int, spec: ParitySpec, c0: float) -> EstimateTerms:
             - 0.25 * math.log(n)
             + log_pref
         )
-        second = LogScaledValue(1 if coef > 0 else -1, log_mag)
+        second = _log_scaled(1 if coef > 0 else -1, log_mag)
     return EstimateTerms(main, second, main.plus(second), [])
 
 

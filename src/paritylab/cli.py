@@ -13,10 +13,10 @@ terminated rows.  Exit codes: 0 success, 1 check failure, 2 usage error,
 3 budget refusal (exact-compute ceiling).
 
 Configuration file (--config): flat `key=value` lines, `#` comments; keys are
-the long flag names with underscores (e.g. n_range=100:2000:50).  Flags win
-over the file; `tol.<check_family>=<bound>` overrides a verify bound.
-The environment variable PARITY_LAB_CEILING overrides the default exact
-ceiling (5000).
+the long flag names with underscores (e.g. n_range=100:2000:50), and any other
+key is a usage error.  Flags win over the file; `tol.<check_family>=<bound>`
+overrides a verify bound.  The environment variable PARITY_LAB_CEILING, and
+nothing else, overrides the default exact ceiling (5000).
 """
 
 from __future__ import annotations
@@ -41,6 +41,7 @@ from .exact import (
     CeilingExceeded,
     ParitySpec,
     PdDistribution,
+    count_at_least_of,
     exact_ceiling,
     m_max,
     pd_distribution,
@@ -55,6 +56,11 @@ __all__ = ["RunConfig", "UsageError", "main"]
 # about 2 s even at 5000; require explicit opt-in
 HUGE_THRESHOLD = 3000
 OUTPUT_FORMATS = ("csv", "json")
+# the long flag names a config file may set, besides the tol.<check> keys
+CONFIG_KEYS = (
+    "n", "n_range", "N", "alpha", "beta", "c", "c0",
+    "format", "out", "threads", "huge", "only",
+)
 
 
 class UsageError(Exception):
@@ -65,7 +71,6 @@ class UsageError(Exception):
 class RunConfig:
     """Resolved run configuration (defaults < config file < flags)."""
 
-    exact_ceiling: int
     spec: ParitySpec
     n: int | None = None
     n_range: tuple[int, int, int] | None = None
@@ -152,7 +157,10 @@ def _read_config_file(path: str) -> dict[str, str]:
                 if "=" not in line:
                     raise UsageError(f"{path}:{lineno}: expected key=value, got {line!r}")
                 key, _, value = line.partition("=")
-                values[key.strip()] = value.strip()
+                key = key.strip()
+                if key not in CONFIG_KEYS and not key.startswith("tol."):
+                    raise UsageError(f"{path}:{lineno}: unknown config key {key!r}")
+                values[key] = value.strip()
     except OSError as exc:
         raise UsageError(f"cannot read config file {path}: {exc}") from exc
     return values
@@ -230,9 +238,7 @@ def _build_config(args: argparse.Namespace) -> RunConfig:
     if threads < 1:
         raise UsageError(f"threads must be >= 1, got {threads}")
 
-    ceiling_default = exact_ceiling()
     return RunConfig(
-        exact_ceiling=pick(None, "exact_ceiling", int, ceiling_default),
         spec=spec,
         n=pick(args.n, "n", int, None),
         n_range=_parse_n_range(n_range_text) if n_range_text is not None else None,
@@ -279,9 +285,12 @@ def _resolve_weights(config: RunConfig, single_only: bool = False) -> list[int]:
     if any(n < 0 for n in ns):
         raise UsageError("weights must be >= 0")
     top = max(ns)
-    if top > config.exact_ceiling:
+    # checked here, ahead of the --huge gate, so an over-budget weight is a
+    # budget refusal (exit 3) whether or not --huge is given
+    ceiling = exact_ceiling()
+    if top > ceiling:
         raise CeilingExceeded(
-            f"n = {top} exceeds the exact-compute ceiling {config.exact_ceiling} "
+            f"n = {top} exceeds the exact-compute ceiling {ceiling} "
             f"(budget; raise {CEILING_ENV_VAR} to lift it)"
         )
     if top > HUGE_THRESHOLD and not config.huge:
@@ -311,8 +320,8 @@ def _distributions_for(
     """One family pass when sweeping, a single-weight pass otherwise."""
     if len(ns) == 1:
         n = ns[0]
-        return {n: pd_distribution(n, config.spec, config.exact_ceiling)}
-    family = pd_distribution_family(max(ns), config.spec, config.exact_ceiling)
+        return {n: pd_distribution(n, config.spec)}
+    family = pd_distribution_family(max(ns), config.spec)
     return {n: family[n] for n in ns}
 
 
@@ -345,10 +354,9 @@ def _emit(config: RunConfig, header: list[str], rows: list[dict[str, str]], out:
 def cmd_count(config: RunConfig, out: TextIO) -> int:
     ns = _resolve_weights(config)
     dists = _distributions_for(config, ns)
-    kc = math.ceil(config.c)
 
     def row(n: int) -> dict[str, str]:
-        count = sum(v for k, v in dists[n].counts.items() if k >= kc)
+        count = count_at_least_of(dists[n], config.c)
         return {"n": str(n), "c": _fmt_threshold(config.c), "count": str(count)}
 
     _emit(config, ["n", "c", "count"], [row(n) for n in ns], out)
@@ -369,13 +377,12 @@ def cmd_compare(config: RunConfig, out: TextIO) -> int:
     swapped = config.spec.swapped()
 
     def row(n: int) -> dict[str, str]:
-        counts = dists[n].counts
         # the exact threshold uses the same near-integer-guarded ceiling as
         # the estimates, so both columns cut at the identical integer
         c_int, _ = guarded_ceil(config.c0 * n**0.25)
-        exact_ab = sum(v for k, v in counts.items() if k >= c_int)
+        exact_ab = count_at_least_of(dists[n], c_int)
         # reflected distribution: swapping the classes negates every pd
-        exact_ba = sum(v for k, v in counts.items() if k <= -c_int)
+        exact_ba = sum(v for k, v in dists[n].counts.items() if k <= -c_int)
         est_ab = estimate_thm2(n, config.spec, config.c0)
         est_ba = estimate_thm2(n, swapped, config.c0)
 
@@ -410,7 +417,7 @@ def cmd_dist(config: RunConfig, out: TextIO) -> int:
     n = ns[0]
     if n < 1:
         raise UsageError("dist needs n >= 1")
-    dist = pd_distribution(n, config.spec, config.exact_ceiling)
+    dist = pd_distribution(n, config.spec)
     hist = histogram_of(dist)
     peak = max(d for _, d in hist.points)
     rows = []
@@ -433,7 +440,7 @@ def cmd_bias(config: RunConfig, out: TextIO) -> int:
     n = ns[0]
     if n < 1:
         raise UsageError("bias needs n >= 1")
-    profile = bias_profile_of(pd_distribution(n, config.spec, config.exact_ceiling))
+    profile = bias_profile_of(pd_distribution(n, config.spec))
     scale = n**-0.25
     rows = []
     for c, pb in profile.points:

@@ -4,8 +4,8 @@ Rescaled by n^{-1/4}, the parity differences follow a centred Gaussian with
 variance 2 sqrt(3)/(pi N); the level-c bias pb(c) = f(c) - f(-c), likewise
 rescaled and normalized by the aggregate bias, follows the density
 (pi N / 2 sqrt 3) x e^{-pi N x^2/(4 sqrt 3)} on x >= 0, whose mode sits at
-12^{1/4}/sqrt(pi N).  This module builds the exact histograms/profiles and
-the distances to those laws.
+12^{1/4}/sqrt(pi N).  This module reads the histograms/profiles off one
+exact PdDistribution and measures their distances to those laws.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exact import ParitySpec, PdDistribution, m_max, pd_distribution
+from .exact import ParitySpec, PdDistribution, m_max
 from .specialfn import erfc
 
 __all__ = [
@@ -22,12 +22,12 @@ __all__ = [
     "BiasProfile",
     "gaussian_density",
     "bias_density",
-    "build_histogram",
-    "ks_distance",
+    "histogram_of",
     "ks_distance_of",
-    "build_bias_profile",
+    "bias_profile_of",
     "bias_cumulative_ratio",
     "bias_mode_prediction",
+    "bias_support_bound",
 ]
 
 _SQRT3 = math.sqrt(3.0)
@@ -102,19 +102,10 @@ def bias_mode_prediction(N: int) -> float:
 # ---------------------------------------------------------------------------
 
 
-def build_histogram(
-    n: int, spec: ParitySpec, ceiling: int | None = None
-) -> NormalizedHistogram:
-    """Area-1 normalized histogram of the exact distribution at weight n >= 1."""
-    if n < 1:
-        raise ValueError("histograms need n >= 1 (n = 0 is a single atom)")
-    dist = pd_distribution(n, spec, ceiling)
-    return histogram_of(dist)
-
-
 def histogram_of(dist: PdDistribution) -> NormalizedHistogram:
+    """Area-1 normalized histogram of an exact distribution at weight n >= 1."""
     if dist.n < 1:
-        raise ValueError("histograms need n >= 1")
+        raise ValueError("histograms need n >= 1 (n = 0 is a single atom)")
     total = dist.total()
     scale = dist.n**0.25
     points = [
@@ -125,7 +116,7 @@ def histogram_of(dist: PdDistribution) -> NormalizedHistogram:
     return NormalizedHistogram(dist.n, dist.spec, points, mode)
 
 
-def ks_distance(n: int, spec: ParitySpec, ceiling: int | None = None) -> float:
+def ks_distance_of(dist: PdDistribution) -> float:
     """Kolmogorov-Smirnov-style distance between the rescaled empirical CDF
     and the limiting Gaussian CDF.
 
@@ -133,10 +124,6 @@ def ks_distance(n: int, spec: ParitySpec, ceiling: int | None = None) -> float:
     evaluated at its jump points only, i.e. sup_k |F_emp(x_k) - F(x_k)| over
     the support.  Deterministic and one-sided at each jump.
     """
-    return ks_distance_of(pd_distribution(n, spec, ceiling))
-
-
-def ks_distance_of(dist: PdDistribution) -> float:
     if dist.n < 1:
         raise ValueError("KS distance needs n >= 1")
     N = dist.spec.N
@@ -159,15 +146,8 @@ def ks_distance_of(dist: PdDistribution) -> float:
 # ---------------------------------------------------------------------------
 
 
-def build_bias_profile(
-    n: int, spec: ParitySpec, ceiling: int | None = None
-) -> BiasProfile:
-    """pb(c) for every level c in the support, plus the aggregate normalizer."""
-    dist = pd_distribution(n, spec, ceiling)
-    return bias_profile_of(dist)
-
-
 def bias_profile_of(dist: PdDistribution) -> BiasProfile:
+    """pb(c) for every level c in the support, plus the aggregate normalizer."""
     counts = dist.counts
     top = max((abs(k) for k in counts), default=0)
     points = [(c, counts.get(c, 0) - counts.get(-c, 0)) for c in range(top + 1)]
@@ -179,9 +159,7 @@ def bias_profile_of(dist: PdDistribution) -> BiasProfile:
     return BiasProfile(dist.n, dist.spec, points, normalizer)
 
 
-def bias_cumulative_ratio(
-    n: int, spec: ParitySpec, a: float, b: float, ceiling: int | None = None
-) -> float:
+def bias_cumulative_ratio(dist: PdDistribution, a: float, b: float) -> float:
     """sum of pb(c) over a <= c n^{-1/4} <= b, divided by the aggregate bias.
 
     Converges to e^{-pi N a^2/(4 sqrt 3)} - e^{-pi N b^2/(4 sqrt 3)}; any
@@ -190,10 +168,10 @@ def bias_cumulative_ratio(
     """
     if not 0.0 <= a <= b:
         raise ValueError("need 0 <= a <= b")
-    profile = build_bias_profile(n, spec, ceiling)
+    profile = bias_profile_of(dist)
     if profile.normalizer == 0:
         raise ValueError("aggregate bias is zero: n too small for the bias law")
-    scale = n**-0.25
+    scale = dist.n**-0.25
     numerator = sum(pb for c, pb in profile.points if a <= c * scale <= b)
     return float(Fraction(numerator, profile.normalizer))
 

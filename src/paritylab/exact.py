@@ -70,7 +70,7 @@ __all__ = [
     "pd",
     "pd_distribution",
     "pd_distribution_family",
-    "count_at_least",
+    "count_at_least_of",
     "count_distinct",
     "parity_bias",
 ]
@@ -435,20 +435,12 @@ def pd_distribution_family(
 # ---------------------------------------------------------------------------
 
 
-def count_at_least(
-    n: int, spec: ParitySpec, c: float, ceiling: int | None = None
-) -> int:
+def count_at_least_of(dist: PdDistribution, c: float) -> int:
     """Number of distinct-part partitions of n with parity difference >= c.
 
     pd takes integer values, so the real threshold resolves losslessly to
-    ceil(c) before anything is counted.
+    ceil(c) before anything is counted: the sum is over k >= ceil(c).
     """
-    dist = pd_distribution(n, spec, ceiling)
-    return count_at_least_of(dist, c)
-
-
-def count_at_least_of(dist: PdDistribution, c: float) -> int:
-    """Tail count sum_{k >= ceil(c)} f(k) from an already-computed distribution."""
     kc = math.ceil(c)
     return sum(v for k, v in dist.counts.items() if k >= kc)
 
@@ -471,11 +463,8 @@ def count_distinct(n: int, ceiling: int | None = None) -> int:
     return dp[n]
 
 
-def parity_bias(
-    n: int, spec: ParitySpec, c: int, ceiling: int | None = None
-) -> int:
+def parity_bias(dist: PdDistribution, c: int) -> int:
     """pb(c) = f(c) - f(-c): the asymmetry of the distribution at level c >= 0."""
     if c < 0:
         raise ValueError("bias level c must be >= 0")
-    dist = pd_distribution(n, spec, ceiling)
     return dist.count(c) - dist.count(-c)

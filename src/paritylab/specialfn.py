@@ -66,11 +66,9 @@ def _erf_series(x: float) -> float:
 
 
 def _erfc_cf(x: float) -> float:
-    # erfc(x) = e^{-x^2}/sqrt(pi) * 1/(x + (1/2)/(x + 1/(x + (3/2)/(x + ...))))
-    # evaluated by the modified Lentz algorithm; rapidly convergent for x > 2.
-    ex = math.exp(-x * x)
-    if ex == 0.0:
-        return 0.0  # deep tail: below the 1e-300 absolute floor
+    # the continued fraction f(x) = x + (1/2)/(x + 1/(x + (3/2)/(x + ...))),
+    # with erfc(x) = e^{-x^2} / (sqrt(pi) f(x)), evaluated by the modified
+    # Lentz algorithm; rapidly convergent for x > 2.
     tiny = 1e-300
     f = x if x != 0.0 else tiny
     c = f
@@ -88,7 +86,7 @@ def _erfc_cf(x: float) -> float:
         f *= delta
         if abs(delta - 1.0) < 1e-17:
             break
-    return ex / (_SQRT_PI * f)
+    return f
 
 
 def erfc(x: float) -> float:
@@ -99,7 +97,10 @@ def erfc(x: float) -> float:
         return 2.0 - erfc(-x)
     if x <= 2.0:
         return 1.0 - _erf_series(x)
-    return _erfc_cf(x)
+    ex = math.exp(-x * x)
+    if ex == 0.0:
+        return 0.0  # deep tail: below the 1e-300 absolute floor
+    return ex / (_SQRT_PI * _erfc_cf(x))
 
 
 # ---------------------------------------------------------------------------

@@ -19,7 +19,6 @@ from paritylab import (
     check_nr_expansion,
     check_sy_negativity,
     check_sy_taylor,
-    count_at_least,
     count_at_least_of,
     count_distinct,
     estimate_hua,
@@ -27,7 +26,6 @@ from paritylab import (
     estimate_thm2,
     gaussian_density,
     guarded_ceil,
-    ks_distance,
     ks_distance_of,
     l_count_check,
     lambda_y,
@@ -61,9 +59,9 @@ def test_criterion_01_oracle_equivalence():
                     for c in range(-3, 4):
                         want = sum(v for k, v in expected.items() if k >= c)
                         assert count_at_least_of(dist, c) == want
-    # the one-shot public entry point takes the same route end to end
+    # the direct brute-force histogram agrees as well
     want = sum(v for k, v in oracles.pd_histogram(33, 5, 3, 1).items() if k >= -2)
-    assert count_at_least(33, ParitySpec(5, 3, 1), -2) == want
+    assert count_at_least_of(pd_distribution(33, ParitySpec(5, 3, 1)), -2) == want
 
 
 def test_criterion_02_distinct_count_spot_values():
@@ -131,8 +129,8 @@ def test_criterion_06_gaussian_limit_ks(family2):
     values = [ks_distance_of(family2[n]) for n in (200, 500, 1000, 2000)]
     assert values[-1] <= 0.05
     assert all(a > b for a, b in zip(values, values[1:]))
-    # the public one-shot entry point computes the same number
-    assert ks_distance(200, SPEC212) == values[0]
+    # the single-weight engine yields the same number
+    assert ks_distance_of(pd_distribution(200, SPEC212)) == values[0]
 
     from scipy.integrate import quad
 
@@ -146,8 +144,8 @@ def test_criterion_07_bias_limit_law(family2):
     1 - e^{-2 pi/(4 sqrt 3)}, the gap shrinks from n=500, and the exact mode
     sits in {4,5,6} around the predicted level."""
     target = 1.0 - math.exp(-2.0 * math.pi / (4.0 * SQRT3))
-    gap500 = abs(bias_cumulative_ratio(500, SPEC212, 0.0, 1.0) - target)
-    gap2000 = abs(bias_cumulative_ratio(2000, SPEC212, 0.0, 1.0) - target)
+    gap500 = abs(bias_cumulative_ratio(family2[500], 0.0, 1.0) - target)
+    gap2000 = abs(bias_cumulative_ratio(family2[2000], 0.0, 1.0) - target)
     assert gap2000 <= 0.1
     assert gap2000 < gap500
 

@@ -233,6 +233,21 @@ def test_thm1_equals_thm2(N, c0):
         assert t1.total.log_abs == pytest.approx(t2.total.log_abs, abs=1e-12)
 
 
+@pytest.mark.parametrize("N", [2, 5, 6])
+def test_thm1_equals_thm2_where_erfc_underflows(N):
+    # at c0 = 50 erfc(x) underflows to 0 (x = 50 sqrt(pi N)/(2*3^{1/4}) > 80),
+    # so both estimates take log erfc from the continued fraction.  The log
+    # magnitudes are ~2000-7000, where one ulp is ~5e-13, so the totals (main
+    # plus a second term of comparable size) are compared relatively
+    spec = ParitySpec(N, 1, 2)
+    for n in (97, 500, 2401):
+        t1 = estimate_thm1(n, spec, 50.0)
+        t2 = estimate_thm2(n, spec, 50.0)
+        assert t1.main.log_abs == pytest.approx(t2.main.log_abs, abs=1e-12)
+        assert t1.total.sign == t2.total.sign != 0
+        assert t1.total.log_abs == pytest.approx(t2.total.log_abs, rel=1e-12)
+
+
 def test_thm2_domain():
     with pytest.raises(ValueError):
         estimate_thm2(100, ParitySpec(3, 1, 2), 0.0)

@@ -88,6 +88,22 @@ def test_compare_rejects_unsupported_modulus(capsys):
     assert "N = 2, 5 or 6" in err
 
 
+def test_compare_far_thresholds_exit_0(capsys):
+    # c0 = 50: erfc underflows to 0 and the threshold exceeds m_max(60), so no
+    # partition reaches it and every ratio is inf
+    code, out, err = run_cli(capsys, "compare", "--n", "60", "--c0=50")
+    assert code == 0, err
+    assert out.splitlines()[1] == "60,0,0,inf,inf,inf,inf"
+    # c0 = -1e300: every partition counts, and the second term's log magnitude
+    # is -inf, so the term is zero and the two-term ratios equal the main ones
+    code, out, err = run_cli(capsys, "compare", "--n", "60", "--c0=-1e300")
+    assert code == 0, err
+    fields = out.splitlines()[1].split(",")
+    assert fields[1:3] == ["10880", "10880"]
+    assert all(math.isfinite(float(v)) for v in fields[3:])
+    assert fields[3:5] == fields[5:7]
+
+
 def test_compare_exact_column_matches_count(capsys, family2):
     # c0=1 at n=256: threshold is exactly 4, so exact_d_ab must equal the
     # tail count at c=4
@@ -267,7 +283,15 @@ def test_threads_below_one_is_usage_error(capsys, threads):
 
 
 @pytest.mark.parametrize(
-    "line, word", [("format=xml", "format"), ("threads=0", "threads"), ("c=inf", "finite")]
+    "line, word",
+    [
+        ("format=xml", "format"),
+        ("threads=0", "threads"),
+        ("c=inf", "finite"),
+        # unknown keys, e.g. a typo or the dropped ceiling key, are not ignored
+        ("fromat=json", "fromat"),
+        ("exact_ceiling=100", "exact_ceiling"),
+    ],
 )
 def test_config_values_are_validated(capsys, tmp_path, line, word):
     cfg = tmp_path / "bad.cfg"
@@ -356,6 +380,8 @@ def _cli_argv(draw):
 
 @given(_cli_argv())
 @example(["compare", "--n=60", "--c0=1e308"])  # c0 * n^(1/4) overflows to inf
+@example(["compare", "--n=60", "--c0=50"])  # erfc underflows to 0
+@example(["compare", "--n=60", "--c0=-1e300"])  # c0^2 overflows to inf
 @settings(max_examples=60, deadline=None)
 def test_fuzz_exit_codes_and_no_traceback(argv):
     out, err = io.StringIO(), io.StringIO()

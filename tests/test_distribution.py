@@ -11,11 +11,8 @@ from paritylab import (
     bias_mode_prediction,
     bias_profile_of,
     bias_support_bound,
-    build_bias_profile,
-    build_histogram,
     gaussian_density,
     histogram_of,
-    ks_distance,
     ks_distance_of,
     m_max,
     pd_distribution,
@@ -71,7 +68,7 @@ def test_bias_mode_prediction_is_the_maximizer():
 
 
 def test_histogram_n8():
-    hist = build_histogram(8, SPEC212)
+    hist = histogram_of(pd_distribution(8, SPEC212))
     scale = 8**0.25
     assert [x for x, _ in hist.points] == [k / scale for k in (-2, -1, 1, 2)]
     mass = sum(d for _, d in hist.points) / scale
@@ -96,7 +93,7 @@ def test_histogram_mode_tie_breaks_toward_positive():
 
 def test_histogram_rejects_n0():
     with pytest.raises(ValueError):
-        build_histogram(0, SPEC212)
+        histogram_of(pd_distribution(0, SPEC212))
 
 
 # ---------------------------------------------------------------------------
@@ -107,11 +104,11 @@ def test_histogram_rejects_n0():
 def test_ks_frozen_small_case():
     # right-continuous comparison at the jump points, worked out by hand for
     # the n=8 distribution {-2:1, -1:1, 1:2, 2:2}
-    assert ks_distance(8, SPEC212) == pytest.approx(0.12170857897883691, abs=1e-12)
+    assert ks_distance_of(pd_distribution(8, SPEC212)) == pytest.approx(0.12170857897883691, abs=1e-12)
 
 
 def test_ks_of_family_matches_public_entry(family2):
-    assert ks_distance(200, SPEC212) == ks_distance_of(family2[200])
+    assert ks_distance_of(pd_distribution(200, SPEC212)) == ks_distance_of(family2[200])
 
 
 def test_ks_shrinks_with_n(family2):
@@ -124,14 +121,14 @@ def test_ks_shrinks_with_n(family2):
 
 
 def test_bias_profile_n8():
-    profile = build_bias_profile(8, SPEC212)
+    profile = bias_profile_of(pd_distribution(8, SPEC212))
     assert profile.points == [(0, 0), (1, 1), (2, 1)]
     assert profile.normalizer == 2
 
 
 def test_bias_profile_negative_values_are_data_not_errors():
     # small weights oscillate; a negative pointwise bias must not raise
-    profile = build_bias_profile(50, SPEC212)
+    profile = bias_profile_of(pd_distribution(50, SPEC212))
     values = dict(profile.points)
     assert values[1] == -202
     assert profile.normalizer == 188
@@ -144,23 +141,25 @@ def test_bias_profile_telescopes(family2):
 
 
 def test_bias_cumulative_ratio_full_range_is_one():
-    assert bias_cumulative_ratio(100, SPEC212, 0.0, 1e9) == 1.0
+    assert bias_cumulative_ratio(pd_distribution(100, SPEC212), 0.0, 1e9) == 1.0
 
 
 def test_bias_cumulative_ratio_validation():
+    dist = pd_distribution(100, SPEC212)
     with pytest.raises(ValueError):
-        bias_cumulative_ratio(100, SPEC212, -0.1, 1.0)
+        bias_cumulative_ratio(dist, -0.1, 1.0)
     with pytest.raises(ValueError):
-        bias_cumulative_ratio(100, SPEC212, 2.0, 1.0)
+        bias_cumulative_ratio(dist, 2.0, 1.0)
     # at n=4 the aggregate bias vanishes: {4} -> -1 and {3,1} -> +2 balance
     with pytest.raises(ValueError):
-        bias_cumulative_ratio(4, SPEC212, 0.0, 1.0)
+        bias_cumulative_ratio(pd_distribution(4, SPEC212), 0.0, 1.0)
 
 
 def test_bias_support_bound():
     assert bias_support_bound(2000) == m_max(2000) * 2000**-0.25
-    profile = build_bias_profile(200, SPEC212)
+    dist = pd_distribution(200, SPEC212)
+    profile = bias_profile_of(dist)
     top = max(c for c, pb in profile.points if pb != 0)
     assert top <= m_max(200)
     # b at the support bound already captures everything
-    assert bias_cumulative_ratio(200, SPEC212, 0.0, bias_support_bound(200)) == 1.0
+    assert bias_cumulative_ratio(dist, 0.0, bias_support_bound(200)) == 1.0

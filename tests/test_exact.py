@@ -10,7 +10,6 @@ from paritylab import (
     EnumerationLimitExceeded,
     ParitySpec,
     Partition,
-    count_at_least,
     count_at_least_of,
     count_distinct,
     enumerate_distinct,
@@ -105,15 +104,16 @@ def test_pd_distribution_examples():
 
 
 def test_count_at_least_examples():
-    assert count_at_least(8, SPEC212, 1) == 4
-    assert count_at_least(8, ParitySpec(2, 2, 1), 0) == 2
-    assert count_at_least(0, SPEC212, 0) == 1
-    assert count_at_least(40, SPEC212, -999) == 1113
+    assert count_at_least_of(pd_distribution(8, SPEC212), 1) == 4
+    assert count_at_least_of(pd_distribution(8, ParitySpec(2, 2, 1)), 0) == 2
+    assert count_at_least_of(pd_distribution(0, SPEC212), 0) == 1
+    assert count_at_least_of(pd_distribution(40, SPEC212), -999) == 1113
 
 
 def test_count_at_least_real_threshold_uses_ceiling():
     # pd is integral, so any c in (0, 1] counts the same partitions as c = 1
-    assert count_at_least(8, SPEC212, 0.25) == count_at_least(8, SPEC212, 1)
+    dist = pd_distribution(8, SPEC212)
+    assert count_at_least_of(dist, 0.25) == count_at_least_of(dist, 1)
 
 
 def test_count_distinct_examples_and_oracle_row():
@@ -125,11 +125,12 @@ def test_count_distinct_examples_and_oracle_row():
 
 
 def test_parity_bias_examples():
-    assert parity_bias(8, SPEC212, 1) == 1
-    assert parity_bias(8, SPEC212, 0) == 0
-    assert parity_bias(8, SPEC212, 2) == 1
+    dist = pd_distribution(8, SPEC212)
+    assert parity_bias(dist, 1) == 1
+    assert parity_bias(dist, 0) == 0
+    assert parity_bias(dist, 2) == 1
     with pytest.raises(ValueError):
-        parity_bias(8, SPEC212, -1)
+        parity_bias(dist, -1)
 
 
 def test_m_max_values():
