@@ -13,7 +13,10 @@ Two equivalent closed forms are implemented:
   5 <= N <= 6, with the tuple sum collapsed into the single coefficient
   (beta - alpha + N - 2 N partial).
 
-Both must agree to ~1e-12 relative; the test suite holds them to that.
+Both agree to ~1e-12 relative at moderate thresholds.  At far thresholds,
+where erfc underflows, the signed sum over delta classes in estimate_thm1
+loses ulps to cancellation, and the two agree to ~3e-11 relative (measured
+at c0 = 50, N = 6, n = 500).  The test suite compares them in both regimes.
 
 Also here: Hua's main term for d(n), the bias main term, the expansion
 coefficients T_{A,B,r} of the saddle-point contour integral together with a
@@ -30,8 +33,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from typing import Sequence
-
-import numpy as np
 
 from .exact import ParitySpec
 from .specialfn import _SQRT_PI, _erfc_cf, erfc
@@ -430,7 +431,9 @@ def estimate_thm2(n: int, spec: ParitySpec, c0: float) -> EstimateTerms:
     second = e^{-c0^2 pi N/(4 sqrt 3)} (beta - alpha + N - 2 N partial)
              / (16 sqrt(3N)) * n^{-1/4}   times the same prefactor.
 
-    Matches the tuple-sum route to ~1e-12 relative wherever both apply.
+    Matches the tuple-sum route to ~1e-12 relative at moderate thresholds and
+    to ~3e-11 at far thresholds, where erfc underflows (c0 = 50, N = 6,
+    n = 500), because estimate_thm1's signed sum loses ulps there.
     """
     N = spec.N
     if N not in (2, 5, 6):
@@ -536,6 +539,8 @@ def nr_contour_integral(
         raise ValueError("mesh must be >= 1000")
     if not 0.0 < theta < math.pi * math.sqrt(n) / B:
         raise ValueError("theta must lie in (0, pi sqrt(n)/B)")
+    import numpy as np  # deferred: keeps numpy off the import path
+
     eta = B / math.sqrt(n)
     two_b_sqrt_n = 2.0 * B * math.sqrt(n)
 

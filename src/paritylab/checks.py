@@ -24,8 +24,6 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
-import numpy as np
-
 from .asymptotics import nr_coefficient, nr_contour_integral
 from .specialfn import euler_maclaurin, lambda_y, s_of_y
 
@@ -88,6 +86,8 @@ CHECK_COMPARISONS: dict[str, str] = {
 
 def default_sy_grid() -> list[float]:
     """Symmetric fixed logarithmic grid: +-logspace(1e-3, 50, 200)."""
+    import numpy as np  # deferred: keeps numpy off the import path
+
     g = np.logspace(math.log10(1e-3), math.log10(50.0), 200)
     return [-v for v in reversed(g)] + list(g)
 

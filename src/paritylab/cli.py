@@ -22,20 +22,13 @@ nothing else, overrides the default exact ceiling (5000).
 from __future__ import annotations
 
 import argparse
+import importlib
 import json
 import math
 import sys
 from dataclasses import dataclass, field, replace
-from typing import Callable, Sequence, TextIO
+from typing import TYPE_CHECKING, Callable, Sequence, TextIO
 
-from . import checks as checks_mod
-from .asymptotics import estimate_thm2, guarded_ceil
-from .distribution import (
-    bias_density,
-    bias_profile_of,
-    gaussian_density,
-    histogram_of,
-)
 from .exact import (
     CEILING_ENV_VAR,
     CeilingExceeded,
@@ -48,12 +41,45 @@ from .exact import (
     pd_distribution_family,
 )
 
+if TYPE_CHECKING:
+    from .asymptotics import estimate_thm2, guarded_ceil
+    from .distribution import bias_density, bias_profile_of, gaussian_density, histogram_of
+
 __all__ = ["RunConfig", "UsageError", "main"]
+
+# the names this module calls from the estimate and distribution layers, and
+# the layer of each.  A subcommand binds them here once its arguments are
+# checked (`_bind`), so `count` and the usage errors never import those
+# layers; read from outside, they load on first access (module __getattr__).
+_LAYER_OF = {
+    "estimate_thm2": ".asymptotics",
+    "guarded_ceil": ".asymptotics",
+    "bias_density": ".distribution",
+    "bias_profile_of": ".distribution",
+    "gaussian_density": ".distribution",
+    "histogram_of": ".distribution",
+}
+
+
+def _bind(layer: str) -> None:
+    """Import `layer` and bind the names above that it defines, unless bound."""
+    module = importlib.import_module(layer, __package__)
+    namespace = globals()
+    for name, home in _LAYER_OF.items():
+        if home == layer:
+            namespace.setdefault(name, getattr(module, name))
+
+
+def __getattr__(name: str):
+    if name not in _LAYER_OF:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    _bind(_LAYER_OF[name])
+    return globals()[name]
 
 # above this weight a sweep's family engine runs for tens of seconds (measured
 # for N = 2: ~6 s at 3000, ~28 s at 5000, time ~n^3; larger N is faster, and
 # the state is only ~9 MB at 3000 and ~26 MB at 5000), while one weight takes
-# about 2 s even at 5000; require explicit opt-in
+# about 1 s end to end even at 5000, import included; require explicit opt-in
 HUGE_THRESHOLD = 3000
 OUTPUT_FORMATS = ("csv", "json")
 # the long flag names a config file may set, besides the tol.<check> keys
@@ -296,7 +322,7 @@ def _resolve_weights(config: RunConfig, single_only: bool = False) -> list[int]:
     if top > HUGE_THRESHOLD and not config.huge:
         raise UsageError(
             f"n = {top} is above the desk-scale threshold {HUGE_THRESHOLD}; "
-            "pass --huge to acknowledge.  One weight takes about 2 s even at "
+            "pass --huge to acknowledge.  One weight takes about 1 s even at "
             "n = 5000, but a sweep runs the family engine, whose time grows like "
             "n^3 (about 6 s at n = 3000 and 28 s at n = 5000 for N = 2, less for "
             "larger N) and whose state is about "
@@ -373,6 +399,7 @@ def cmd_compare(config: RunConfig, out: TextIO) -> int:
         raise UsageError("compare needs weights >= 1")
     if not math.isfinite(config.c0 * max(ns) ** 0.25):
         raise UsageError(f"c0 * n^(1/4) overflows at c0 = {config.c0!r}")
+    _bind(".asymptotics")
     dists = _distributions_for(config, ns)
     swapped = config.spec.swapped()
 
@@ -417,6 +444,7 @@ def cmd_dist(config: RunConfig, out: TextIO) -> int:
     n = ns[0]
     if n < 1:
         raise UsageError("dist needs n >= 1")
+    _bind(".distribution")
     dist = pd_distribution(n, config.spec)
     hist = histogram_of(dist)
     peak = max(d for _, d in hist.points)
@@ -440,6 +468,7 @@ def cmd_bias(config: RunConfig, out: TextIO) -> int:
     n = ns[0]
     if n < 1:
         raise UsageError("bias needs n >= 1")
+    _bind(".distribution")
     profile = bias_profile_of(pd_distribution(n, config.spec))
     scale = n**-0.25
     rows = []
@@ -463,6 +492,8 @@ def cmd_bias(config: RunConfig, out: TextIO) -> int:
 
 
 def cmd_verify(config: RunConfig, out: TextIO) -> int:
+    from . import checks as checks_mod
+
     results = checks_mod.run_suite(only=config.only)
     if config.only is not None and not results:
         raise UsageError(f"no check name starts with {config.only!r}")

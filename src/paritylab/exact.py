@@ -161,13 +161,23 @@ class PdDistribution:
 
 
 def exact_ceiling(override: int | None = None) -> int:
-    """Resolve the exact-compute ceiling: explicit arg, else env var, else default."""
+    """Resolve the exact-compute ceiling: explicit arg, else env var, else default.
+
+    The env var must hold a positive integer; anything else is a ValueError
+    that names the variable and the value.
+    """
     if override is not None:
         return override
     env = os.environ.get(CEILING_ENV_VAR)
-    if env is not None:
-        return int(env)
-    return DEFAULT_CEILING
+    if env is None:
+        return DEFAULT_CEILING
+    try:
+        ceiling = int(env)
+    except ValueError:
+        ceiling = 0
+    if ceiling < 1:
+        raise ValueError(f"{CEILING_ENV_VAR} must be a positive integer, got {env!r}")
+    return ceiling
 
 
 def _check_ceiling(n: int, override: int | None) -> None:
@@ -448,19 +458,42 @@ def count_at_least_of(dist: PdDistribution, c: float) -> int:
 def count_distinct(n: int, ceiling: int | None = None) -> int:
     """d(n): the number of partitions of n into distinct parts.
 
-    Computed by the plain single-variable recurrence (each part used 0 or 1
-    times), independent of the packed parity DP; equals the total of any
-    pd_distribution of the same n.
+    Computed from Euler's pentagonal number theorem, independent of the
+    parity engines; equals the total of any pd_distribution of the same n.
     """
     if n < 0:
         raise ValueError("n must be >= 0")
     _check_ceiling(n, ceiling)
-    dp = [0] * (n + 1)
-    dp[0] = 1
-    for p in range(1, n + 1):
-        for s in range(n, p - 1, -1):
-            dp[s] += dp[s - p]
-    return dp[n]
+    return _distinct_counts(n)[n]
+
+
+def _distinct_counts(n: int) -> list[int]:
+    """d(0..n) in O(n^1.5) big-integer additions.
+
+    prod(1+q^k) * prod(1-q^k) = prod(1-q^{2k}), and Euler's pentagonal
+    theorem expands prod(1-q^k) = sum_j (-1)^j q^{j(3j-1)/2} over all
+    integers j.  Comparing coefficients of q^s gives
+        d(s) = e(s) + sum_{k>=1} (-1)^{k+1} (d(s - k(3k-1)/2) + d(s - k(3k+1)/2)),
+    where e(s) = (-1)^j if s = j(3j-1) for some integer j, else 0.
+    """
+    even_pentagonal: dict[int, int] = {}
+    j = 0
+    while j * (3 * j - 1) <= n:
+        even_pentagonal[j * (3 * j - 1)] = even_pentagonal[j * (3 * j + 1)] = (-1) ** j
+        j += 1
+    d = [0] * (n + 1)
+    for s in range(n + 1):
+        acc = even_pentagonal.get(s, 0)
+        k, g = 1, 1
+        while g <= s:
+            term = d[s - g]
+            if g + k <= s:
+                term += d[s - g - k]
+            acc += term if k % 2 else -term
+            k += 1
+            g = k * (3 * k - 1) // 2
+        d[s] = acc
+    return d
 
 
 def parity_bias(dist: PdDistribution, c: int) -> int:

@@ -12,7 +12,8 @@ Everything here is double precision with stated accuracy targets:
                     Lambda(y) = N(pi^2/6 - log(2)^2 (1+iy)^2 / 2 - Li_2(2^{-(1+iy)}))
                     and s(y) = Re(Lambda(y)/(1+iy)) - pi^2 N / 12;
 * euler_maclaurin -- the infinite-ray Euler-Maclaurin identity with an
-                    itemized report of each term and the leftover residual.
+                    itemized report of each term and the leftover residual
+                    (the ray integral by QUADPACK's QAGI, see quadrature).
 """
 
 from __future__ import annotations
@@ -21,9 +22,10 @@ import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Callable, Sequence, Union
 
-from scipy.integrate import quad
+from .quadrature import integrate_to_infinity
 
 __all__ = [
     "erfc",
@@ -108,20 +110,18 @@ def erfc(x: float) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _build_bernoulli(limit: int) -> list[Fraction]:
+@lru_cache(maxsize=None)
+def _bernoulli_table() -> tuple[Fraction, ...]:
     # B_0 = 1 and, from the generating function t e^{xt}/(e^t - 1),
     # B_r = -1/(r+1) * sum_{k<r} C(r+1, k) B_k.  This convention gives
-    # B_1 = -1/2.
+    # B_1 = -1/2.  Built on first use, so import does no rational arithmetic.
     table = [Fraction(1)]
-    for r in range(1, limit + 1):
+    for r in range(1, MAX_BERNOULLI + 1):
         acc = Fraction(0)
         for k in range(r):
             acc += math.comb(r + 1, k) * table[k]
         table.append(-acc / (r + 1))
-    return table
-
-
-_BERNOULLI: list[Fraction] = _build_bernoulli(MAX_BERNOULLI)
+    return tuple(table)
 
 
 def bernoulli_number(r: int) -> Fraction:
@@ -130,7 +130,7 @@ def bernoulli_number(r: int) -> Fraction:
         raise ValueError("Bernoulli index must be >= 0")
     if r > MAX_BERNOULLI:
         raise ValueError(f"Bernoulli coefficient table ends at r = {MAX_BERNOULLI}")
-    return _BERNOULLI[r]
+    return _bernoulli_table()[r]
 
 
 def bernoulli_poly(
@@ -141,10 +141,11 @@ def bernoulli_poly(
         raise ValueError("Bernoulli degree must be >= 0")
     if r > MAX_BERNOULLI:
         raise ValueError(f"Bernoulli coefficient table ends at r = {MAX_BERNOULLI}")
+    table = _bernoulli_table()
     rational = isinstance(x, (int, Fraction))
     acc: Union[float, Fraction] = Fraction(0) if rational else 0.0
     for k in range(r + 1):
-        coef = math.comb(r, k) * _BERNOULLI[k]
+        coef = math.comb(r, k) * table[k]
         power = x ** (r - k) if r != k else 1
         if rational:
             acc += coef * power
@@ -387,11 +388,11 @@ def euler_maclaurin(
             raise ArithmeticError("summand decays too slowly to truncate")
 
     # --- integral along the ray, parameterized t = a + s z ---
-    re_part, _ = quad(
-        lambda s: (f(a + s * z)).real, 0.0, math.inf, epsabs=1e-12, epsrel=1e-12, limit=200
+    re_part, _ = integrate_to_infinity(
+        lambda s: (f(a + s * z)).real, 0.0, epsabs=1e-12, epsrel=1e-12, limit=200
     )
-    im_part, _ = quad(
-        lambda s: (f(a + s * z)).imag, 0.0, math.inf, epsabs=1e-12, epsrel=1e-12, limit=200
+    im_part, _ = integrate_to_infinity(
+        lambda s: (f(a + s * z)).imag, 0.0, epsabs=1e-12, epsrel=1e-12, limit=200
     )
     integral = complex(re_part, im_part)  # equals (1/z) * the contour integral
 

@@ -326,6 +326,16 @@ def test_env_ceiling(capsys, monkeypatch):
     assert "30" in err
 
 
+@pytest.mark.parametrize("value", ["abc", "1.5", "", "0", "-5"])
+def test_env_ceiling_rejects_non_positive_or_non_integer(capsys, monkeypatch, value):
+    monkeypatch.setenv("PARITY_LAB_CEILING", value)
+    code, out, err = run_cli(capsys, "count", "--n", "5", "--c", "0")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ")
+    assert "PARITY_LAB_CEILING" in err and f"'{value}'" in err
+
+
 def test_huge_gate(capsys):
     code, _, err = run_cli(capsys, "count", "--n", "3200", "--c", "0")
     assert code == 2

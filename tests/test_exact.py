@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 import oracles
 from paritylab import (
+    DEFAULT_CEILING,
     CeilingExceeded,
     EnumerationLimitExceeded,
     ParitySpec,
@@ -20,7 +21,7 @@ from paritylab import (
     pd_distribution,
     pd_distribution_family,
 )
-from paritylab.exact import _limb_width_bits
+from paritylab.exact import _distinct_counts, _limb_width_bits
 
 SPEC212 = ParitySpec(2, 1, 2)
 
@@ -122,6 +123,20 @@ def test_count_distinct_examples_and_oracle_row():
     assert count_distinct(40) == 1113
     ref = oracles.count_distinct_upto(60)
     assert [count_distinct(n) for n in range(61)] == ref
+
+
+@pytest.fixture(scope="module")
+def distinct_to_ceiling():
+    # the oracle's O(n^2) loop, once, up to the default ceiling (~1.4 s)
+    return oracles.count_distinct_upto(DEFAULT_CEILING)
+
+
+def test_count_distinct_matches_quadratic_oracle(distinct_to_ceiling):
+    ref = distinct_to_ceiling
+    # the whole row, so every n up to the ceiling, from one pentagonal pass
+    assert _distinct_counts(DEFAULT_CEILING) == ref
+    for n in (1, 1999, 2000, 4999, DEFAULT_CEILING):
+        assert count_distinct(n) == ref[n]
 
 
 def test_parity_bias_examples():
@@ -285,7 +300,8 @@ def test_single_engine_total_and_reflection_large(n):
         ]
 
 
-def test_limb_width_headroom(family2):
-    # every count is at most d(n); the limb keeps 16 bits above it
-    for dist in family2:
-        assert dist.total().bit_length() <= _limb_width_bits(dist.n) - 16
+def test_limb_width_headroom(distinct_to_ceiling):
+    # every count at weight n is at most d(n); the limb keeps 16 bits above it
+    # at every weight up to the default ceiling
+    for n, d in enumerate(distinct_to_ceiling):
+        assert d.bit_length() <= _limb_width_bits(n) - 16, n
