@@ -24,9 +24,6 @@ __version__ = "0.1.0"
 # and a CLI job compiles only the layers its command runs.
 _EXPORTS: dict[str, tuple[str, ...]] = {
     "exact": (
-        "CEILING_ENV_VAR",
-        "DEFAULT_CEILING",
-        "CeilingExceeded",
         "EnumerationLimitExceeded",
         "ParitySpec",
         "Partition",
@@ -34,7 +31,6 @@ _EXPORTS: dict[str, tuple[str, ...]] = {
         "count_at_least_of",
         "count_distinct",
         "enumerate_distinct",
-        "exact_ceiling",
         "m_max",
         "parity_bias",
         "pd",

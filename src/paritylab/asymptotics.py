@@ -362,9 +362,7 @@ def _second_term(
     return _log_scaled(1 if coef > 0 else -1, log_mag)
 
 
-def estimate_thm1(
-    n: int, spec: ParitySpec, c0: float, fast: bool = False
-) -> EstimateTerms:
+def estimate_thm1(n: int, spec: ParitySpec, c0: float) -> EstimateTerms:
     """Two-term estimate as the sum over admissible residue tuples.
 
     Every tuple carries the same main term
@@ -373,10 +371,6 @@ def estimate_thm1(
     partial*.  Tuples are therefore grouped by delta = [l_a - l_b - ceil]_N
     (the grouping is lossless) so the total uses a handful of stable additions
     instead of up to 6^5 repeated log-sum-exps.
-
-    fast=True (N >= 5 only) skips enumeration: each delta class is known to
-    hold exactly N^{N-2} tuples, so the totals are identical but per_tuple is
-    left empty.
     """
     N = spec.N
     if not 2 <= N <= 6:
@@ -394,26 +388,16 @@ def estimate_thm1(
     t = c0 * n**0.25
     ceil_c, partial = guarded_ceil(t)
 
-    if fast:
-        if N < 5:
-            raise ValueError("the closed tuple count shortcut needs N >= 5")
-        delta_counts: dict[int, int] = {d: N ** (N - 2) for d in range(N)}
-        per_tuple: list[tuple[ResidueTuple, LogScaledValue, LogScaledValue]] = []
-        tuple_count = N ** (N - 1)
-    else:
-        tuples = residue_tuples(n, N)
-        tuple_count = len(tuples)
-        deltas = [
-            (l[spec.alpha - 1] - l[spec.beta - 1] - ceil_c) % N for l in tuples
-        ]
-        delta_counts = dict(sorted(Counter(deltas).items()))
-        main_per_tuple = _log_scaled(1, log_main_per_tuple)
-        per_tuple = [
-            (l, main_per_tuple, _second_term(n, N, bma, partial + d, c0))
-            for l, d in zip(tuples, deltas)
-        ]
+    tuples = residue_tuples(n, N)
+    deltas = [(l[spec.alpha - 1] - l[spec.beta - 1] - ceil_c) % N for l in tuples]
+    delta_counts = dict(sorted(Counter(deltas).items()))
+    main_per_tuple = _log_scaled(1, log_main_per_tuple)
+    per_tuple = [
+        (l, main_per_tuple, _second_term(n, N, bma, partial + d, c0))
+        for l, d in zip(tuples, deltas)
+    ]
 
-    main_total = _log_scaled(1, log_main_per_tuple + math.log(tuple_count))
+    main_total = _log_scaled(1, log_main_per_tuple + math.log(len(tuples)))
     second_total = LogScaledValue.zero()
     for d in sorted(delta_counts):
         cnt = delta_counts[d]

@@ -85,11 +85,17 @@ CHECK_COMPARISONS: dict[str, str] = {
 
 
 def default_sy_grid() -> list[float]:
-    """Symmetric fixed logarithmic grid: +-logspace(1e-3, 50, 200)."""
-    import numpy as np  # deferred: keeps numpy off the import path
+    """Symmetric fixed logarithmic grid: +-logspace(1e-3, 50, 200).
 
-    g = np.logspace(math.log10(1e-3), math.log10(50.0), 200)
-    return [-v for v in reversed(g)] + list(g)
+    The exponents are numpy.linspace's (start + i * step, the last one set to
+    the end point exactly).  A few powers can differ by an ulp from those of
+    numpy.logspace, whose vectorised pow may round differently; the minima
+    check_sy_negativity reports come out the same.
+    """
+    a, b = math.log10(1e-3), math.log10(50.0)
+    step = (b - a) / 199
+    g = [10.0 ** (i * step + a) for i in range(199)] + [10.0**b]
+    return [-v for v in reversed(g)] + g
 
 
 def check_sy_negativity(

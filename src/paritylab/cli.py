@@ -25,17 +25,15 @@ import argparse
 import importlib
 import json
 import math
+import os
 import sys
 from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING, Callable, Sequence, TextIO
 
 from .exact import (
-    CEILING_ENV_VAR,
-    CeilingExceeded,
     ParitySpec,
     PdDistribution,
     count_at_least_of,
-    exact_ceiling,
     m_max,
     pd_distribution,
     pd_distribution_family,
@@ -45,7 +43,7 @@ if TYPE_CHECKING:
     from .asymptotics import estimate_thm2, guarded_ceil
     from .distribution import bias_density, bias_profile_of, gaussian_density, histogram_of
 
-__all__ = ["RunConfig", "UsageError", "main"]
+__all__ = ["CeilingExceeded", "RunConfig", "UsageError", "main"]
 
 # the names this module calls from the estimate and distribution layers, and
 # the layer of each.  A subcommand binds them here once its arguments are
@@ -81,6 +79,9 @@ def __getattr__(name: str):
 # the state is only ~9 MB at 3000 and ~26 MB at 5000), while one weight takes
 # about 1 s end to end even at 5000, import included; require explicit opt-in
 HUGE_THRESHOLD = 3000
+# the exact-compute budget: no weight above it runs, whatever the flags
+DEFAULT_CEILING = 5000
+CEILING_ENV_VAR = "PARITY_LAB_CEILING"
 OUTPUT_FORMATS = ("csv", "json")
 # the long flag names a config file may set, besides the tol.<check> keys
 CONFIG_KEYS = (
@@ -91,6 +92,28 @@ CONFIG_KEYS = (
 
 class UsageError(Exception):
     """Invalid flag/config combination; maps to exit code 2."""
+
+
+class CeilingExceeded(Exception):
+    """A requested weight is above the exact-compute ceiling; maps to exit code 3."""
+
+
+def _exact_ceiling() -> int:
+    """The ceiling: PARITY_LAB_CEILING if set, else DEFAULT_CEILING.
+
+    The variable must hold a positive integer; anything else is a usage
+    error that names the variable and the value.
+    """
+    env = os.environ.get(CEILING_ENV_VAR)
+    if env is None:
+        return DEFAULT_CEILING
+    try:
+        ceiling = int(env)
+    except ValueError:
+        ceiling = 0
+    if ceiling < 1:
+        raise UsageError(f"{CEILING_ENV_VAR} must be a positive integer, got {env!r}")
+    return ceiling
 
 
 @dataclass
@@ -313,7 +336,7 @@ def _resolve_weights(config: RunConfig, single_only: bool = False) -> list[int]:
     top = max(ns)
     # checked here, ahead of the --huge gate, so an over-budget weight is a
     # budget refusal (exit 3) whether or not --huge is given
-    ceiling = exact_ceiling()
+    ceiling = _exact_ceiling()
     if top > ceiling:
         raise CeilingExceeded(
             f"n = {top} exceeds the exact-compute ceiling {ceiling} "
@@ -408,8 +431,9 @@ def cmd_compare(config: RunConfig, out: TextIO) -> int:
         # the estimates, so both columns cut at the identical integer
         c_int, _ = guarded_ceil(config.c0 * n**0.25)
         exact_ab = count_at_least_of(dists[n], c_int)
-        # reflected distribution: swapping the classes negates every pd
-        exact_ba = sum(v for k, v in dists[n].counts.items() if k <= -c_int)
+        # reflected distribution: swapping the classes negates every pd, so
+        # the (beta, alpha) tail k >= c is the (alpha, beta) tail k <= -c
+        exact_ba = dists[n].total() - count_at_least_of(dists[n], 1 - c_int)
         est_ab = estimate_thm2(n, config.spec, config.c0)
         est_ba = estimate_thm2(n, swapped, config.c0)
 

@@ -46,26 +46,26 @@ q = e^{-t}; t = pi / sqrt(12 n) gives d(n) <= e^{pi sqrt(n/3)} < 2^(W-15)
 for the W of _limb_width_bits (in practice d(n) < 2^(W-16)).  Shifts and
 carries only move upward, so truncating at degree n drops exactly the terms
 above n.  The unpacked dot products are plain Python integers.
+
+The engines take no budget: they compute any n they are given, exactly, and
+the argument above holds at every n.  What a job may
+cost is the caller's decision; the command line refuses weights above its
+budget (paritylab.cli) before any engine runs.
 """
 
 from __future__ import annotations
 
 import math
 import operator
-import os
 from collections.abc import Iterator
 from dataclasses import dataclass
 
 __all__ = [
-    "DEFAULT_CEILING",
-    "CEILING_ENV_VAR",
-    "CeilingExceeded",
     "EnumerationLimitExceeded",
     "Partition",
     "ParitySpec",
     "PdDistribution",
     "m_max",
-    "exact_ceiling",
     "enumerate_distinct",
     "pd",
     "pd_distribution",
@@ -74,17 +74,6 @@ __all__ = [
     "count_distinct",
     "parity_bias",
 ]
-
-DEFAULT_CEILING = 5000
-CEILING_ENV_VAR = "PARITY_LAB_CEILING"
-
-
-class CeilingExceeded(Exception):
-    """The requested n is above the exact-compute budget.
-
-    Exact arithmetic is this module's contract: above the ceiling we refuse
-    rather than silently degrade to floating point.
-    """
 
 
 class EnumerationLimitExceeded(Exception):
@@ -156,37 +145,8 @@ class PdDistribution:
 
 
 # ---------------------------------------------------------------------------
-# ceilings and bounds
+# bounds
 # ---------------------------------------------------------------------------
-
-
-def exact_ceiling(override: int | None = None) -> int:
-    """Resolve the exact-compute ceiling: explicit arg, else env var, else default.
-
-    The env var must hold a positive integer; anything else is a ValueError
-    that names the variable and the value.
-    """
-    if override is not None:
-        return override
-    env = os.environ.get(CEILING_ENV_VAR)
-    if env is None:
-        return DEFAULT_CEILING
-    try:
-        ceiling = int(env)
-    except ValueError:
-        ceiling = 0
-    if ceiling < 1:
-        raise ValueError(f"{CEILING_ENV_VAR} must be a positive integer, got {env!r}")
-    return ceiling
-
-
-def _check_ceiling(n: int, override: int | None) -> None:
-    ceiling = exact_ceiling(override)
-    if n > ceiling:
-        raise CeilingExceeded(
-            f"n = {n} exceeds the exact-compute ceiling {ceiling} "
-            f"(set {CEILING_ENV_VAR} or pass a higher ceiling to raise the budget)"
-        )
 
 
 def m_max(n: int) -> int:
@@ -361,13 +321,10 @@ def _class_factored_counts(n: int, spec: ParitySpec) -> dict[int, int]:
     return counts
 
 
-def pd_distribution(
-    n: int, spec: ParitySpec, ceiling: int | None = None
-) -> PdDistribution:
+def pd_distribution(n: int, spec: ParitySpec) -> PdDistribution:
     """Exact parity-difference distribution of the distinct-part partitions of n."""
     if n < 0:
         raise ValueError("n must be >= 0")
-    _check_ceiling(n, ceiling)
     if n == 0:
         return PdDistribution(0, spec, {0: 1})
     return PdDistribution(n, spec, _sorted_counts(_class_factored_counts(n, spec)))
@@ -409,19 +366,22 @@ def _family_state(n: int, spec: ParitySpec) -> tuple[list[int], int, int]:
 
 
 def _extract_rows(state: list[int], m: int, W: int, n: int) -> list[dict[int, int]]:
-    """Unpack limbs: rows[s] = {k: f_s(k)} for every weight s <= n."""
+    """Unpack limbs: rows[s] = {k: f_s(k)} for every weight s <= n.
+
+    Each packed row is dropped from `state` once unpacked, so the packed
+    state and the unpacked rows are never both held in full.
+    """
     rows: list[dict[int, int]] = [{} for _ in range(n + 1)]
     for i, packed in enumerate(state):
         if packed:
+            state[i] = 0
             for s, c in enumerate(_unpack(packed, W, n, 0, 1)):
                 if c:
                     rows[s][i - m] = c
     return rows
 
 
-def pd_distribution_family(
-    n_max: int, spec: ParitySpec, ceiling: int | None = None
-) -> list[PdDistribution]:
+def pd_distribution_family(n_max: int, spec: ParitySpec) -> list[PdDistribution]:
     """Distributions for every 0 <= n <= n_max from a single pass.
 
     Every packed series carries one limb per weight, so the whole family
@@ -432,7 +392,6 @@ def pd_distribution_family(
     """
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
-    _check_ceiling(n_max, ceiling)
     if n_max == 0:
         return [PdDistribution(0, spec, {0: 1})]
     state, m, W = _family_state(n_max, spec)
@@ -455,7 +414,7 @@ def count_at_least_of(dist: PdDistribution, c: float) -> int:
     return sum(v for k, v in dist.counts.items() if k >= kc)
 
 
-def count_distinct(n: int, ceiling: int | None = None) -> int:
+def count_distinct(n: int) -> int:
     """d(n): the number of partitions of n into distinct parts.
 
     Computed from Euler's pentagonal number theorem, independent of the
@@ -463,7 +422,6 @@ def count_distinct(n: int, ceiling: int | None = None) -> int:
     """
     if n < 0:
         raise ValueError("n must be >= 0")
-    _check_ceiling(n, ceiling)
     return _distinct_counts(n)[n]
 
 

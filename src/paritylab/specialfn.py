@@ -25,8 +25,6 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Callable, Sequence, Union
 
-from .quadrature import integrate_to_infinity
-
 __all__ = [
     "erfc",
     "bernoulli_number",
@@ -388,6 +386,8 @@ def euler_maclaurin(
             raise ArithmeticError("summand decays too slowly to truncate")
 
     # --- integral along the ray, parameterized t = a + s z ---
+    from .quadrature import integrate_to_infinity  # deferred: off the dist/bias/compare path
+
     re_part, _ = integrate_to_infinity(
         lambda s: (f(a + s * z)).real, 0.0, epsabs=1e-12, epsrel=1e-12, limit=200
     )

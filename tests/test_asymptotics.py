@@ -1,4 +1,6 @@
+import itertools
 import math
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -255,16 +257,17 @@ def test_thm2_domain():
         estimate_thm2(0, ParitySpec(2, 1, 2), 0.0)
 
 
-def test_fast_path_matches_enumeration():
-    spec = ParitySpec(5, 2, 4)
-    for c0 in (0.0, 0.7, 2.0):
-        slow = estimate_thm1(977, spec, c0)
-        fast = estimate_thm1(977, spec, c0, fast=True)
-        assert fast.per_tuple == []
-        assert fast.total.sign == slow.total.sign
-        assert fast.total.log_abs == pytest.approx(slow.total.log_abs, abs=1e-12)
-    with pytest.raises(ValueError):
-        estimate_thm1(977, ParitySpec(2, 1, 2), 0.0, fast=True)
+def test_delta_classes_hold_equal_tuple_counts():
+    # for the N of the aggregated form, each class delta = [l_a - l_b - c]_N
+    # holds N^{N-2} of the N^{N-1} admissible tuples, for every class pair
+    # (the cut c only relabels the classes); this is why the tuple sum of
+    # estimate_thm1 aggregates to estimate_thm2
+    for N, n in itertools.product((2, 5, 6), (100, 977, 2001)):
+        tuples = residue_tuples(n, N)
+        for alpha, beta in itertools.permutations(range(1, N + 1), 2):
+            classes = Counter((l[alpha - 1] - l[beta - 1]) % N for l in tuples)
+            assert sorted(classes) == list(range(N))
+            assert set(classes.values()) == {N ** (N - 2)}
 
 
 def test_per_tuple_breakdown_shape():

@@ -6,21 +6,19 @@ from hypothesis import strategies as st
 
 import oracles
 from paritylab import (
-    DEFAULT_CEILING,
-    CeilingExceeded,
     EnumerationLimitExceeded,
     ParitySpec,
     Partition,
     count_at_least_of,
     count_distinct,
     enumerate_distinct,
-    exact_ceiling,
     m_max,
     parity_bias,
     pd,
     pd_distribution,
     pd_distribution_family,
 )
+from paritylab.cli import DEFAULT_CEILING
 from paritylab.exact import _distinct_counts, _limb_width_bits
 
 SPEC212 = ParitySpec(2, 1, 2)
@@ -125,15 +123,11 @@ def test_count_distinct_examples_and_oracle_row():
     assert [count_distinct(n) for n in range(61)] == ref
 
 
-@pytest.fixture(scope="module")
-def distinct_to_ceiling():
-    # the oracle's O(n^2) loop, once, up to the default ceiling (~1.4 s)
-    return oracles.count_distinct_upto(DEFAULT_CEILING)
-
-
-def test_count_distinct_matches_quadratic_oracle(distinct_to_ceiling):
-    ref = distinct_to_ceiling
-    # the whole row, so every n up to the ceiling, from one pentagonal pass
+def test_count_distinct_matches_quadratic_oracle():
+    # the oracle's O(n^2) loop, once, up to the command line's default
+    # ceiling (~1.4 s); the whole row, so every n up to it, from one
+    # pentagonal pass
+    ref = oracles.count_distinct_upto(DEFAULT_CEILING)
     assert _distinct_counts(DEFAULT_CEILING) == ref
     for n in (1, 1999, 2000, 4999, DEFAULT_CEILING):
         assert count_distinct(n) == ref[n]
@@ -157,28 +151,15 @@ def test_m_max_values():
 
 
 # ---------------------------------------------------------------------------
-# ceiling plumbing
+# no budget: the command line alone guards the weight
 # ---------------------------------------------------------------------------
 
 
-def test_ceiling_override_refuses():
-    with pytest.raises(CeilingExceeded):
-        pd_distribution(60, SPEC212, ceiling=50)
-    with pytest.raises(CeilingExceeded):
-        count_distinct(60, ceiling=50)
-
-
-def test_ceiling_env_var(monkeypatch):
+def test_engines_ignore_ceiling_env_var(monkeypatch):
     monkeypatch.setenv("PARITY_LAB_CEILING", "30")
-    assert exact_ceiling() == 30
-    with pytest.raises(CeilingExceeded):
-        pd_distribution(40, SPEC212)
-    # explicit override still wins over the environment
-    assert pd_distribution(40, SPEC212, ceiling=100).total() == 1113
-
-
-def test_ceiling_default():
-    assert exact_ceiling() == 5000
+    assert pd_distribution(40, SPEC212).total() == 1113
+    assert pd_distribution_family(40, SPEC212)[40].total() == 1113
+    assert count_distinct(40) == 1113
 
 
 # ---------------------------------------------------------------------------
@@ -235,11 +216,6 @@ def test_family_consistent_with_single_runs():
     assert [d.n for d in family] == list(range(81))
     for n in (0, 1, 17, 56, 80):
         assert family[n].counts == pd_distribution(n, SPEC212).counts
-
-
-def test_family_respects_ceiling():
-    with pytest.raises(CeilingExceeded):
-        pd_distribution_family(60, SPEC212, ceiling=50)
 
 
 # ---------------------------------------------------------------------------
@@ -300,8 +276,9 @@ def test_single_engine_total_and_reflection_large(n):
         ]
 
 
-def test_limb_width_headroom(distinct_to_ceiling):
+def test_limb_width_headroom():
     # every count at weight n is at most d(n); the limb keeps 16 bits above it
-    # at every weight up to the default ceiling
-    for n, d in enumerate(distinct_to_ceiling):
+    # at every weight up to 20 000 (the engines take no budget, so the module
+    # docstring's bound, not a ceiling, is what keeps larger n exact)
+    for n, d in enumerate(_distinct_counts(20_000)):
         assert d.bit_length() <= _limb_width_bits(n) - 16, n

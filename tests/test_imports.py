@@ -1,11 +1,11 @@
 """Each job imports only what it computes.
 
-scipy is a test oracle only, numpy is loaded by the two checks that use it,
-and the CLI loads the estimate, distribution and check layers only for the
-subcommands that call them.  The pytest process has imported all of these
-already, so each probe runs in a fresh interpreter and reports what
-`sys.modules` holds after the import, or after one `paritylab.cli.main(argv)`
-call.
+scipy is a test oracle only, numpy is loaded by the one check that uses it,
+and the CLI loads the estimate, distribution, check and quadrature layers
+only for the subcommands that call them.  The pytest process has imported
+all of these already, so each probe runs in a fresh interpreter and reports
+what `sys.modules` holds after the import, or after one
+`paritylab.cli.main(argv)` call.
 """
 
 import json
@@ -67,13 +67,16 @@ def test_import_loads_neither():
         ["verify", "--only", "check_sy_taylor"],
         ["verify", "--only", "check_lambda_identity"],
         ["verify", "--only", "check_emf"],
+        ["verify", "--only", "check_sy_negativity"],
     ],
     ids=lambda argv: " ".join(argv),
 )
 def test_job_loads_neither(argv):
-    code, loaded, _ = probe(argv)
+    code, loaded, modules = probe(argv)
     assert code == 0
     assert loaded == set()
+    # only euler_maclaurin integrates, and only check_emf calls it
+    assert ("paritylab.quadrature" in modules) == (argv[-1] == "check_emf")
 
 
 @pytest.mark.parametrize(
@@ -92,7 +95,7 @@ def test_count_and_usage_errors_load_only_the_exact_layer(argv):
 
 
 def test_probe_sees_numpy_when_a_check_needs_it():
-    # positive control: the s(y) grid is built with numpy.logspace
-    code, loaded, _ = probe(["verify", "--only", "check_sy_negativity"])
+    # positive control: the contour check integrates with numpy's trapezoid rule
+    code, loaded, _ = probe(["verify", "--only", "check_nr_expansion"])
     assert code == 0
     assert loaded == {"numpy"}
