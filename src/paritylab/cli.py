@@ -74,10 +74,12 @@ def __getattr__(name: str):
     _bind(_LAYER_OF[name])
     return globals()[name]
 
-# above this weight a sweep's family engine runs for tens of seconds (measured
-# for N = 2: ~6 s at 3000, ~28 s at 5000, time ~n^3; larger N is faster, and
-# the state is only ~9 MB at 3000 and ~26 MB at 5000), while one weight takes
-# about 1 s end to end even at 5000, import included; require explicit opt-in
+# a weight above this needs explicit opt-in.  Measured end to end, import
+# included, for N = 2 (larger N is faster): one weight (class-factored engine)
+# takes ~0.4 s at 3000 and ~0.9 s at 5000; a sweep (family engine, time
+# ~n^2.5) ~1.2 s at 3000 and ~4 s at 5000, with a packed state of ~9 MB and
+# ~26 MB.
+# The threshold is the command-line contract, not a cost either engine needs
 HUGE_THRESHOLD = 3000
 # the exact-compute budget: no weight above it runs, whatever the flags
 DEFAULT_CEILING = 5000
@@ -175,7 +177,8 @@ def _build_parser() -> argparse.ArgumentParser:
         const=True,
         default=None,
         help=f"acknowledge a weight above {HUGE_THRESHOLD} "
-        "(a sweep takes ~6 s at 3000 and ~28 s at 5000 for N = 2)",
+        "(for N = 2 a sweep takes ~1.2 s at 3000 and ~4 s at 5000, "
+        "one weight ~0.9 s at 5000)",
     )
     common.add_argument(
         "--only", default=None, metavar="NAME", help="verify: run checks whose name starts with NAME"
@@ -343,18 +346,28 @@ def _resolve_weights(config: RunConfig, single_only: bool = False) -> list[int]:
             f"(budget; raise {CEILING_ENV_VAR} to lift it)"
         )
     if top > HUGE_THRESHOLD and not config.huge:
+        # name the engine _distributions_for will run for these weights
+        if len(ns) == 1:
+            cost = (
+                "One weight runs the class-factored engine, which keeps no "
+                "per-weight state: about 0.9 s and 22 MB peak RSS at n = 5000 for "
+                "N = 2, import included"
+            )
+        else:
+            cost = (
+                "A sweep runs the family engine, whose time grows like n^2.5 "
+                "(about 1.2 s at n = 3000 and 4 s at n = 5000 for N = 2, "
+                "import included, less for larger N) and whose packed state is "
+                f"about {_family_state_estimate(top)} here"
+            )
         raise UsageError(
             f"n = {top} is above the desk-scale threshold {HUGE_THRESHOLD}; "
-            "pass --huge to acknowledge.  One weight takes about 1 s even at "
-            "n = 5000, but a sweep runs the family engine, whose time grows like "
-            "n^3 (about 6 s at n = 3000 and 28 s at n = 5000 for N = 2, less for "
-            "larger N) and whose state is about "
-            f"{_dp_state_estimate(top)} here"
+            f"pass --huge to acknowledge.  {cost}"
         )
     return ns
 
 
-def _dp_state_estimate(n: int) -> str:
+def _family_state_estimate(n: int) -> str:
     width = 2 * m_max(n) + 1
     limb_bits = math.pi * math.sqrt(n / 3.0) / math.log(2.0) + 16
     total = width * (n + 1) * (limb_bits / 8.0)

@@ -32,16 +32,22 @@ runs exactly one engine:
 * pd_distribution_family (every weight s <= n_max) keeps one packed series
   per difference k, whose s-th limb is f_s(k).  The same closed forms are
   full series truncated at degree n_max, so they carry every weight at once:
-  row k = j starts as D * A_j, and only the beta side runs a DP, one shifted
-  add per beta part and row (the source masked to the limbs that stay at
-  degree <= n_max).  For N = 2 that is about 6 s at n_max = 3000, roughly
-  n^3, and larger N is faster.
+  row k is sum_l C_{k+l} * B_l with C_j = D * A_j, evaluated by Horner's rule
+  over l, where each step is a shift and a division by 1 - q^{Nl}, again by
+  doubling adds.  For N = 2 the state takes about 0.8-1 s at n_max = 3000
+  and 3-4 s at 5000, roughly n^2.5, and larger N is faster.
 
 Limbs never overflow.  Every limb at degree s <= n of every packed series
-either engine builds (A_j, E_l, D and every partial sum on the way to them,
-or a family row at any point of the beta pass) is coefficientwise at most a
-series that counts partitions of s into distinct parts, so it is at most
-d(s) <= d(n).  And d(n) q^n <= prod_k (1 + q^k) <= exp(pi^2 / (12 t)) at
+either engine builds (A_j, E_l, D and every partial sum on the way to them)
+is coefficientwise at most a series that counts partitions of s into
+distinct parts, so it is at most d(s) <= d(n).  So is every Horner level of
+a family row: level l is G^(l) = sum_{l' >= l} C_{k+l'} * B_{l'} / B_l, and
+since B_{l'} = B_l * (B_{l'} / B_l), where B_l / q^{low_l} = 1 / prod_{i<=l}
+(1 - q^{Ni}) has constant term 1 and nonnegative coefficients,
+q^{low_l} G^(l) <= sum_{l'} C_{k+l'} B_{l'} (the row) coefficientwise.  A
+level keeps only its limbs of degree <= n - low_l, so each is at most d(n),
+and each partial product of the division that leads to a level is at most
+that level.  And d(n) q^n <= prod_k (1 + q^k) <= exp(pi^2 / (12 t)) at
 q = e^{-t}; t = pi / sqrt(12 n) gives d(n) <= e^{pi sqrt(n/3)} < 2^(W-15)
 for the W of _limb_width_bits (in practice d(n) < 2^(W-16)).  Shifts and
 carries only move upward, so truncating at degree n drops exactly the terms
@@ -237,6 +243,11 @@ def _unpack(packed: int, W: int, n: int, start: int, stride: int) -> list[int]:
     ]
 
 
+def _low_limbs(x: int, top: int, W: int) -> int:
+    """Limbs 0..top of a packed series."""
+    return x & ((1 << (top + 1) * W) - 1)
+
+
 def _sorted_counts(row: dict[int, int]) -> dict[int, int]:
     return {k: row[k] for k in sorted(row)}
 
@@ -266,11 +277,20 @@ def _class_columns(
         j += 1
         if low > n:
             return
-        x = (x << step * W) & mask
-        a = N * j
-        while a <= n:
-            x = (x + (x << a * W)) & mask
-            a *= 2
+        x = _divide_one_minus((x << step * W) & mask, N * j, n, W)
+
+
+def _divide_one_minus(x: int, a: int, top: int, W: int) -> int:
+    """x / (1 - q^a) truncated at degree top, packed.
+
+    1 / (1 - q^a) = (1 + q^a)(1 + q^{2a})(1 + q^{4a})..., and the factors with
+    a power above top leave limbs 0..top unchanged: one shifted add per factor.
+    """
+    mask = (1 << (top + 1) * W) - 1
+    while a <= top:
+        x = (x + (x << a * W)) & mask
+        a *= 2
+    return x
 
 
 def _neutral_series(n: int, spec: ParitySpec, W: int, mask: int) -> int:
@@ -338,30 +358,55 @@ def pd_distribution(n: int, spec: ParitySpec) -> PdDistribution:
 def _family_state(n: int, spec: ParitySpec) -> tuple[list[int], int, int]:
     """Return (state, offset m, limb width W) for every weight <= n at once.
 
-    state[i] is a packed series whose s-th W-bit limb is f_s(i - m).  The
-    neutral and alpha sides are closed forms: row m + j starts as D * A_j.
-    The beta parts p = beta, beta + N, ... <= n then each move difference
-    k + 1 to k (row i + 1 to row i, ascending i so every part is taken at
-    most once).  Only the limbs of degree <= n - p of the source can land at
-    degree <= n, so the source is masked to them before the shift, and the
-    sum stays below 2^{(n+1)W} by the no-overflow argument in the module
-    docstring.
+    state[m + k] is a packed series whose s-th W-bit limb is f_s(k): the row
+    sum_l C_{k+l} * B_l, where C_j = D * A_j is the alpha stream and B_l the
+    beta column (see _class_columns).  B_l = B_{l-1} * q^{beta + N(l-1)} /
+    (1 - q^{Nl}), so each row is one Horner pass from its last column pair
+    inward: G <- C_{k+l-1} + q^{beta + N(l-1)} * G / (1 - q^{Nl}) for
+    l = l1 .. 1, starting at G = C_{k+l1} and leaving out C_j for j < 0.
+    Level l ends up multiplied by B_l, whose lowest degree is low_l, so only
+    its limbs of degree <= n - low_l are kept.  G holds the level divided by
+    q^e, where e is the lowest degree the level can have, so the all-zero
+    low limbs are never added.
     """
-    N = spec.N
+    N, beta = spec.N, spec.beta
     W = _limb_width_bits(n)
     m = m_max(n)
     mask = (1 << ((n + 1) * W)) - 1
     D = _neutral_series(n, spec, W, mask)
+    low_a: list[int] = []  # lowest degree of C_j
+    cols: list[int] = []  # C_j / q^{low_a[j]}
+    for low, x in _class_columns(D, spec.alpha, N, n, W, mask):
+        low_a.append(low)
+        cols.append(x >> low * W)
+    low_b = [  # lowest degree of B_l
+        low for l in range(m + 1) if (low := beta * l + N * l * (l - 1) // 2) <= n
+    ]
+    rows_k = range(1 - len(low_b), len(cols))
+    low_a.append(n + 1)  # sentinels: no column pair past the last reaches degree n
+    low_b.append(n + 1)
     state = [0] * (2 * m + 1)
-    for j, (_, x) in enumerate(_class_columns(D, spec.alpha, N, n, W, mask)):
-        state[m + j] = x
-    for p in range(spec.beta, n + 1, N):
-        sh = p * W
-        low = (1 << ((n + 1 - p) * W)) - 1
-        for i in range(2 * m):
-            src = state[i + 1]
-            if src:
-                state[i] += (src & low) << sh
+    for k in rows_k:
+        # the column pairs (k + l, l) with a term of degree <= n: l in l0..l1
+        l0 = l1 = max(0, -k)
+        if low_a[k + l0] + low_b[l0] > n:
+            continue
+        while low_a[k + l1 + 1] + low_b[l1 + 1] <= n:
+            l1 += 1
+        e = low_a[k + l1]
+        G = _low_limbs(cols[k + l1], n - low_b[l1] - e, W)
+        for l in range(l1, 0, -1):
+            G = _divide_one_minus(G, N * l, n - low_b[l] - e, W)
+            e += beta + N * (l - 1)
+            if l > l0:
+                j = k + l - 1
+                G = _low_limbs(cols[j], n - low_b[l - 1] - low_a[j], W) + (
+                    G << (e - low_a[j]) * W
+                )
+                e = low_a[j]
+        state[m + k] = G << e * W
+        if k >= 0:
+            cols[k] = 0  # rows above k start at column k + 1
     return state, m, W
 
 
@@ -375,7 +420,8 @@ def _extract_rows(state: list[int], m: int, W: int, n: int) -> list[dict[int, in
     for i, packed in enumerate(state):
         if packed:
             state[i] = 0
-            for s, c in enumerate(_unpack(packed, W, n, 0, 1)):
+            low = ((packed & -packed).bit_length() - 1) // W  # first nonzero limb
+            for s, c in enumerate(_unpack(packed, W, n, low, 1), low):
                 if c:
                     rows[s][i - m] = c
     return rows
@@ -385,10 +431,10 @@ def pd_distribution_family(n_max: int, spec: ParitySpec) -> list[PdDistribution]
     """Distributions for every 0 <= n <= n_max from a single pass.
 
     Every packed series carries one limb per weight, so the whole family
-    costs one pass at n_max: closed-form neutral and alpha sides, then one
-    shifted add per beta part and difference row (about 6 s at n_max = 3000
-    for N = 2, less for larger N).  Sweep commands and the n-by-n acceptance
-    checks use this instead of n_max separate runs.
+    costs one pass at n_max: closed-form neutral and alpha columns, then one
+    Horner pass over them per difference row (about 1-1.3 s at n_max = 3000
+    and 3.5-4 s at 5000 for N = 2, less for larger N).  Sweep commands and the
+    n-by-n acceptance checks use this instead of n_max separate runs.
     """
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
@@ -396,7 +442,7 @@ def pd_distribution_family(n_max: int, spec: ParitySpec) -> list[PdDistribution]
         return [PdDistribution(0, spec, {0: 1})]
     state, m, W = _family_state(n_max, spec)
     rows = _extract_rows(state, m, W, n_max)
-    return [PdDistribution(s, spec, _sorted_counts(row)) for s, row in enumerate(rows)]
+    return [PdDistribution(s, spec, row) for s, row in enumerate(rows)]
 
 
 # ---------------------------------------------------------------------------

@@ -342,6 +342,19 @@ def test_huge_gate(capsys):
     assert "--huge" in err and "MB" in err
 
 
+def test_huge_refusal_of_one_weight_names_the_class_factored_engine(capsys):
+    code, out, err = run_cli(capsys, "count", "--n", "4000", "--c", "0")
+    assert (code, out) == (2, "")
+    assert "class-factored engine" in err and "family" not in err
+
+
+def test_huge_refusal_of_a_sweep_gives_the_family_engine_figures(capsys):
+    code, out, err = run_cli(capsys, "count", "--n-range", "3000:4000:100", "--c", "0")
+    assert (code, out) == (2, "")
+    assert "family engine" in err and "class-factored" not in err
+    assert "about 16 MB here" in err
+
+
 # ---------------------------------------------------------------------------
 # fuzz: every input ends in a contract exit code, never a traceback
 # ---------------------------------------------------------------------------

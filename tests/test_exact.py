@@ -18,6 +18,7 @@ from paritylab import (
     pd_distribution,
     pd_distribution_family,
 )
+from paritylab import exact
 from paritylab.cli import DEFAULT_CEILING
 from paritylab.exact import _distinct_counts, _limb_width_bits
 
@@ -262,6 +263,32 @@ def test_family_matches_packed_dp_at_sweep_top_weights(spec, n_max):
     ref = oracles.packed_dp_family(n_max, spec.N, spec.alpha, spec.beta)
     assert [d.counts for d in family] == ref
     assert [d.total() for d in family] == oracles.count_distinct_upto(n_max)
+
+
+@pytest.mark.parametrize("n_max", [28, 78])
+def test_family_fits_limbs_with_no_spare_bit(monkeypatch, n_max):
+    # d(n_max) fills its whole bytes exactly (8 and 16 bits), so with limbs of
+    # exactly that width any Horner level or partial division whose limbs
+    # exceeded d(n_max) would carry into the next limb and break the equality
+    W = _distinct_counts(n_max)[n_max].bit_length()
+    assert W % 8 == 0
+    monkeypatch.setattr(exact, "_limb_width_bits", lambda n: W)
+    for N in range(2, 7):
+        for a in range(1, N + 1):
+            for b in range(1, N + 1):
+                if a != b:
+                    family = pd_distribution_family(n_max, ParitySpec(N, a, b))
+                    rows = [d.counts for d in family]
+                    assert rows == oracles.packed_dp_family(n_max, N, a, b), (N, a, b)
+
+
+def test_family_matches_single_engine_at_3000():
+    family = pd_distribution_family(3000, SPEC212)
+    assert [d.total() for d in family] == _distinct_counts(3000)
+    for n in (1, 1501, 2999, 3000):
+        # items, not dicts: both engines list k in ascending order
+        single = pd_distribution(n, SPEC212)
+        assert list(family[n].counts.items()) == list(single.counts.items()), n
 
 
 @pytest.mark.parametrize("n", [2000, 3000])
