@@ -6,9 +6,12 @@ subset recursion instead of largest-part-first generation, a dict-of-Counter
 DP instead of packed big-integer limbs, a packed DP over every part instead
 of the package's class-factored closed forms, and a plain one-dimensional DP
 for the distinct-part counting sequence.  If the package and this file
-agree, the agreement means something.
+agree, the agreement means something.  The one exception is the contour
+trapezoid, which the package rounds exactly as numpy does: its oracle is the
+same rule run by numpy's vectorised operations.
 """
 
+import math
 from collections import Counter
 from typing import Iterator
 
@@ -133,3 +136,26 @@ def packed_dp_family(n_max: int, N: int, alpha: int, beta: int) -> list[dict[int
             if c:
                 rows[s][i - m] = c
     return rows
+
+
+def numpy_contour_integral(
+    A: float, B: float, n: int, theta: float = 1.0, mesh: int = 4000
+) -> complex:
+    """paritylab.nr_contour_integral by numpy's linspace, exp, log and trapezoid."""
+    import numpy as np
+
+    eta = B / math.sqrt(n)
+    two_b_sqrt_n = 2.0 * B * math.sqrt(n)
+
+    def trap(points: int) -> complex:
+        y = np.linspace(-theta, theta, points)
+        z = eta * (1.0 + 1j * y)
+        w = B * B / z + n * z - two_b_sqrt_n
+        g = np.exp(w + A * np.log(z)) * (eta / (2.0 * math.pi))
+        trapezoid = getattr(np, "trapezoid", None) or np.trapz
+        return complex(trapezoid(g, y))
+
+    t1 = trap(mesh + 1)
+    t2 = trap(2 * mesh + 1)
+    value = (4.0 * t2 - t1) / 3.0
+    return value * n ** ((2.0 * A + 3.0) / 4.0)
