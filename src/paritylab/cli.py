@@ -75,10 +75,10 @@ def __getattr__(name: str):
     return globals()[name]
 
 # a weight above this needs explicit opt-in.  Measured end to end, import
-# included, for N = 2 (larger N is faster): one weight (class-factored engine)
-# takes ~0.4 s at 3000 and ~0.9 s at 5000; a sweep (family engine, time
-# ~n^2.5) ~1.2 s at 3000 and ~4 s at 5000, with a packed state of ~9 MB and
-# ~26 MB.
+# included, for N = 2: one weight (class-factored engine) takes ~0.2 s at 3000
+# and ~0.35 s at 5000 (about the same for N = 5); a sweep (family engine, time
+# ~n^2.5, larger N is faster) ~1.2 s at 3000 and ~4 s at 5000, with a packed
+# state of ~9 MB and ~26 MB.
 # The threshold is the command-line contract, not a cost either engine needs
 HUGE_THRESHOLD = 3000
 # the exact-compute budget: no weight above it runs, whatever the flags
@@ -178,7 +178,7 @@ def _build_parser() -> argparse.ArgumentParser:
         default=None,
         help=f"acknowledge a weight above {HUGE_THRESHOLD} "
         "(for N = 2 a sweep takes ~1.2 s at 3000 and ~4 s at 5000, "
-        "one weight ~0.9 s at 5000)",
+        "one weight ~0.35 s at 5000)",
     )
     common.add_argument(
         "--only", default=None, metavar="NAME", help="verify: run checks whose name starts with NAME"
@@ -350,7 +350,7 @@ def _resolve_weights(config: RunConfig, single_only: bool = False) -> list[int]:
         if len(ns) == 1:
             cost = (
                 "One weight runs the class-factored engine, which keeps no "
-                "per-weight state: about 0.9 s and 22 MB peak RSS at n = 5000 for "
+                "per-weight state: about 0.35 s and 22 MB peak RSS at n = 5000 for "
                 "N = 2, import included"
             )
         else:

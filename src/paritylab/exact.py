@@ -11,10 +11,14 @@ n |-> {k: f(k)} where f(k) is the number of distinct-part partitions of n with
 parity difference exactly k, and the derived tail counts
 sum_{k >= ceil(c)} f(k).  No floats enter any computation here.
 
-Both engines keep series packed: one Python integer whose s-th W-bit limb
-holds the coefficient of q^s, so multiplying by 1 + q^p is one shifted
-big-integer addition (shift by p*W bits), truncated at degree n.  Each job
-runs exactly one engine:
+Both engines keep series packed: one Python integer whose i-th W-bit limb
+holds a coefficient, so multiplying by 1 + q^p is one shifted big-integer
+addition, truncated at degree n.  Each class column is kept shifted down by
+its lowest degree, truncated to the limbs that reach degree n, and, when it
+is a series in q^N, packed in q^N: limb i holds the coefficient of
+q^{low + N i}, so its divisions touch 1/N of the limbs.  That is every alpha
+column of one weight, and every beta column too when N = 2 leaves no
+neutral class.  Each job runs exactly one engine:
 
 * pd_distribution (one weight n) uses the class-factored engine.  The
   generating function factorises by residue class,
@@ -25,10 +29,19 @@ runs exactly one engine:
   and Euler's identity puts each class side in closed form: the z^j column of
   the alpha side is A_j = q^{alpha j + N j(j-1)/2} / prod_{i<=j} (1 - q^{Ni}),
   and likewise B_l on the beta side.  The neutral product D, the columns A_j
-  and the columns E_l = B_l * D are all built by shifts and doubling adds
-  (a division by 1 - q^a is the product of 1 + q^a, 1 + q^{2a}, ...), and
-  f(k) is the degree-n coefficient of sum_{j - l = k} A_j * E_l: a dot
-  product of unpacked limbs per column pair, about n^2 limb products in all.
+  and the columns E_l = B_l * D are all built by doubling adds (a division
+  by 1 - q^a is the product of 1 + q^a, 1 + q^{2a}, ...), and f(k) is the
+  degree-n coefficient of sum_{j - l = k} A_j * E_l.  The alpha columns are
+  transposed once into row integers, one list per residue class
+  rho = low_j mod N: limb i of row u is A_j[rho + N u] for the i-th column
+  of the class.  Each E_l meets each class in one sum of products
+  sum_u row_u * E_l[n - rho - N u], and limb i of that sum is the whole
+  coefficient [q^n] A_j * E_l of one column pair.  Every limb of every E_l
+  multiplies at most one row, so the Python-level work is at most one
+  product per beta limb (30 000 to 60 000 at the class pairs and weights
+  2000-2340 of perfbench's `single` workload), and the limb products, one
+  per column pair and degree that can be nonzero (0.2 to 0.45 million
+  there), run inside CPython's multiplication.
 * pd_distribution_family (every weight s <= n_max) keeps one packed series
   per difference k, whose s-th limb is f_s(k).  The same closed forms are
   full series truncated at degree n_max, so they carry every weight at once:
@@ -40,9 +53,14 @@ runs exactly one engine:
 Limbs never overflow.  Every limb at degree s <= n of every packed series
 either engine builds (A_j, E_l, D and every partial sum on the way to them)
 is coefficientwise at most a series that counts partitions of s into
-distinct parts, so it is at most d(s) <= d(n).  So is every Horner level of
-a family row: level l is G^(l) = sum_{l' >= l} C_{k+l'} * B_{l'} / B_l, and
-since B_{l'} = B_l * (B_{l'} / B_l), where B_l / q^{low_l} = 1 / prod_{i<=l}
+distinct parts, so it is at most d(s) <= d(n); shifting a column down or
+packing it in q^N moves its limbs but not their values.  So is every limb of
+a single-weight sum of products: limb i of each partial sum is part of
+[q^n] A_j * E_l, one column pair's share of f(j - l) <= d(n), and adding a
+product of nonnegative limbs only raises it towards that share.  So is
+every Horner level of a family row: level l is
+G^(l) = sum_{l' >= l} C_{k+l'} * B_{l'} / B_l, and since
+B_{l'} = B_l * (B_{l'} / B_l), where B_l / q^{low_l} = 1 / prod_{i<=l}
 (1 - q^{Ni}) has constant term 1 and nonnegative coefficients,
 q^{low_l} G^(l) <= sum_{l'} C_{k+l'} B_{l'} (the row) coefficientwise.  A
 level keeps only its limbs of degree <= n - low_l, so each is at most d(n),
@@ -51,7 +69,7 @@ that level.  And d(n) q^n <= prod_k (1 + q^k) <= exp(pi^2 / (12 t)) at
 q = e^{-t}; t = pi / sqrt(12 n) gives d(n) <= e^{pi sqrt(n/3)} < 2^(W-15)
 for the W of _limb_width_bits (in practice d(n) < 2^(W-16)).  Shifts and
 carries only move upward, so truncating at degree n drops exactly the terms
-above n.  The unpacked dot products are plain Python integers.
+above n.
 
 The engines take no budget: they compute any n they are given, exactly, and
 the argument above holds at every n.  What a job may
@@ -61,8 +79,11 @@ budget (paritylab.cli) before any engine runs.
 
 from __future__ import annotations
 
+import itertools
 import math
 import operator
+import struct
+from collections import Counter
 from collections.abc import Iterator
 from dataclasses import dataclass
 
@@ -226,21 +247,27 @@ def _limb_width_bits(n: int) -> int:
 
     log2 d(n) <= pi*sqrt(n/3)/ln 2 + O(log n); 16 guard bits absorb the
     lower-order factor, and the total is rounded up to a whole number of bytes
-    so limb extraction is a bytes slice.
+    so a limb is a fixed-width bytes field (see _limbs).
     """
     bound = math.pi * math.sqrt(max(n, 1) / 3.0) / math.log(2.0)
     bits = int(bound) + 16
     return ((bits + 7) // 8) * 8
 
 
-def _unpack(packed: int, W: int, n: int, start: int, stride: int) -> list[int]:
-    """Limbs start, start + stride, ... <= n of a packed series."""
+def _limbs(blob: bytes | memoryview, Wb: int) -> list[int]:
+    """The little-endian Wb-byte limbs of a byte string, lowest first.
+
+    The struct module caches the compiled format, and the maps keep the loop
+    over limbs out of Python bytecode.
+    """
+    chunks = map(operator.itemgetter(0), struct.iter_unpack(f"{Wb}s", blob))
+    return list(map(int.from_bytes, chunks, itertools.repeat("little")))
+
+
+def _unpack(packed: int, W: int, start: int, top: int) -> list[int]:
+    """Limbs start..top of a packed series."""
     Wb = W // 8
-    blob = packed.to_bytes((n + 1) * Wb, "little")
-    return [
-        int.from_bytes(blob[i : i + Wb], "little")
-        for i in range(start * Wb, (n + 1) * Wb, stride * Wb)
-    ]
+    return _limbs(memoryview(packed.to_bytes((top + 1) * Wb, "little"))[start * Wb :], Wb)
 
 
 def _low_limbs(x: int, top: int, W: int) -> int:
@@ -258,26 +285,29 @@ def _sorted_counts(row: dict[int, int]) -> dict[int, int]:
 
 
 def _class_columns(
-    seed: int, r: int, N: int, n: int, W: int, mask: int
+    seed: int, g: int, r: int, N: int, n: int, W: int
 ) -> Iterator[tuple[int, int]]:
-    """Yield (lowest degree, seed * X_j) for j = 0, 1, ... while X_j has a term
-    of degree <= n, as packed W-bit-limb series truncated at degree n.
+    """Yield (low_j, seed * X_j / q^{low_j}) for j = 0, 1, ... while low_j <= n.
 
     X_j = q^{rj + Nj(j-1)/2} / prod_{i<=j} (1 - q^{Ni}) is Euler's closed form
     for the z^j coefficient of prod_{p == r (mod N)} (1 + z q^p), with r in
-    1..N the smallest such part.  Column j comes from column j - 1 by a shift
-    of r + N(j-1) limbs and a division by 1 - q^{Nj}, which is the product of
-    (1 + q^a) over a = Nj, 2Nj, 4Nj, ... <= n: one shifted add per factor.
+    1..N the smallest such part, and low_j = rj + Nj(j-1)/2 is its lowest
+    degree.  The seed is a packed series in q^g, where g is 1 or N, and so is
+    every column: limb i holds the coefficient of q^{low_j + g i}, for the
+    limbs i <= (n - low_j) / g that reach degree n.  Column j comes from
+    column j - 1 by a division by 1 - q^{Nj}, which is the product of
+    (1 + q^a) over a = Nj, 2Nj, 4Nj, ... <= n - low_j: one shifted add per
+    factor, over 1/g of the limbs a dense series would need.
     """
     x, low, j = seed, 0, 0
     while True:
         yield low, x
-        step = r + N * j
-        low += step
+        low += r + N * j
         j += 1
         if low > n:
             return
-        x = _divide_one_minus((x << step * W) & mask, N * j, n, W)
+        top = (n - low) // g
+        x = _divide_one_minus(_low_limbs(x, top, W), N * j // g, top, W)
 
 
 def _divide_one_minus(x: int, a: int, top: int, W: int) -> int:
@@ -293,14 +323,14 @@ def _divide_one_minus(x: int, a: int, top: int, W: int) -> int:
     return x
 
 
-def _neutral_series(n: int, spec: ParitySpec, W: int, mask: int) -> int:
+def _neutral_series(n: int, spec: ParitySpec, W: int) -> int:
     """D = prod (1 + q^p) over the parts p <= n in neither class, packed."""
     N = spec.N
     D = 1
     for r in range(1, N + 1):
         if r != spec.alpha and r != spec.beta:
             # D * prod_{p == r} (1 + q^p) = sum_j D * X_j, by Euler's identity at z = 1
-            D = sum(x for _, x in _class_columns(D, r, N, n, W, mask))
+            D = sum(x << low * W for low, x in _class_columns(D, 1, r, N, n, W))
     return D
 
 
@@ -309,35 +339,63 @@ def _neutral_series(n: int, spec: ParitySpec, W: int, mask: int) -> int:
 # ---------------------------------------------------------------------------
 
 
+def _alpha_rows(n: int, spec: ParitySpec, W: int) -> list[tuple[int, list[int], list[int]]]:
+    """The alpha columns A_j transposed: one (rho, js, rows) per residue class.
+
+    A_j is q^{low_j} times a series in q^N, so its terms lie at the degrees
+    rho + N u with rho = low_j mod N.  The columns j of class rho
+    (in js, ascending) are laid side by side: limb i of rows[u] is
+    A_{js[i]}[rho + N u], zero below the column's lowest degree.
+    """
+    N, alpha = spec.N, spec.alpha
+    Wb = W // 8
+    width = Counter(  # columns per class
+        low % N for j in range(m_max(n) + 1) if (low := alpha * j + N * j * (j - 1) // 2) <= n
+    )
+    # one row-major table of limbs per class, filled column by column as the
+    # columns are made, so no column outlives its copy into the table
+    tables = {rho: bytearray(((n - rho) // N + 1) * k * Wb) for rho, k in width.items()}
+    js: dict[int, list[int]] = {rho: [] for rho in width}
+    for j, (low, x) in enumerate(_class_columns(1, N, alpha, N, n, W)):
+        rho = low % N
+        i, k = len(js[rho]), width[rho]
+        js[rho].append(j)
+        blob = (x << (low - rho) // N * W).to_bytes(((n - rho) // N + 1) * Wb, "little")
+        # byte b of limb i of every row is a stride-(k Wb) slice of the table
+        for b in range(Wb):
+            tables[rho][i * Wb + b :: k * Wb] = blob[b::Wb]
+    return [(rho, js[rho], _limbs(tables.pop(rho), width[rho] * Wb)) for rho in width]
+
+
 def _class_factored_counts(n: int, spec: ParitySpec) -> dict[int, int]:
     """f(k) = [q^n] sum_{j - l = k} A_j * B_l * D for one weight n >= 1.
 
     A_j and B_l are the alpha and beta class columns (see _class_columns) and
     D is the neutral series (see _neutral_series).  The beta side is built as
     E_l = B_l * D by seeding its recurrence with D, so no two series are ever
-    multiplied: only the degree-n coefficient of A_j * E_l is needed, a dot
-    product of unpacked limbs.
+    multiplied: only the degree-n coefficient of each A_j * E_l is needed.
+    Each E_l meets a class of alpha rows (see _alpha_rows) in one sum of
+    products sum_u rows[u] * E_l[n - rho - N u], whose limb i is the whole
+    coefficient [q^n] A_{js[i]} * E_l.
     """
     N = spec.N
     W = _limb_width_bits(n)
-    mask = (1 << ((n + 1) * W)) - 1
-    D = _neutral_series(n, spec, W, mask)
-    # A_j is q^{low} times a series in q^N: keep only limbs low, low + N, ...
-    a_cols = [
-        (low, _unpack(x, W, n, low, N))
-        for low, x in _class_columns(1, spec.alpha, N, n, W, mask)
-    ]
+    D = _neutral_series(n, spec, W)
+    alpha_rows = _alpha_rows(n, spec, W)
+    g = N if D == 1 else 1  # without neutral classes E_l is a series in q^N too
     counts: dict[int, int] = {}
-    for l, (low_e, e) in enumerate(_class_columns(D, spec.beta, N, n, W, mask)):
-        # e_rev[s] = E_l[n - s], the limb paired with A_j[s]; s <= n - low_e
-        e_rev = _unpack(e, W, n, low_e, 1)[::-1]
-        top = n - low_e
-        for j, (low_a, a) in enumerate(a_cols):
-            if low_a > top:
-                break
-            term = sum(map(operator.mul, a, e_rev[low_a : top + 1 : N]))
-            if term:
-                counts[j - l] = counts.get(j - l, 0) + term
+    for l, (low_e, x) in enumerate(_class_columns(D, g, spec.beta, N, n, W)):
+        e = _unpack(x, W, 0, (n - low_e) // g)  # e[i] = E_l[low_e + g i]
+        for rho, js, rows in alpha_rows:
+            # rows[u] meets E_l at degree n - rho - N u, limb (d - N u) / g of e
+            d = n - rho - low_e
+            if d < 0 or d % g:
+                continue
+            acc = sum(map(operator.mul, rows, e[d // g :: -(N // g)]))
+            if acc:
+                for j, c in zip(js, _unpack(acc, W, 0, len(js) - 1)):
+                    if c:
+                        counts[j - l] = counts.get(j - l, 0) + c
     return counts
 
 
@@ -372,13 +430,12 @@ def _family_state(n: int, spec: ParitySpec) -> tuple[list[int], int, int]:
     N, beta = spec.N, spec.beta
     W = _limb_width_bits(n)
     m = m_max(n)
-    mask = (1 << ((n + 1) * W)) - 1
-    D = _neutral_series(n, spec, W, mask)
+    D = _neutral_series(n, spec, W)
     low_a: list[int] = []  # lowest degree of C_j
     cols: list[int] = []  # C_j / q^{low_a[j]}
-    for low, x in _class_columns(D, spec.alpha, N, n, W, mask):
+    for low, x in _class_columns(D, 1, spec.alpha, N, n, W):
         low_a.append(low)
-        cols.append(x >> low * W)
+        cols.append(x)
     low_b = [  # lowest degree of B_l
         low for l in range(m + 1) if (low := beta * l + N * l * (l - 1) // 2) <= n
     ]
@@ -421,7 +478,7 @@ def _extract_rows(state: list[int], m: int, W: int, n: int) -> list[dict[int, in
         if packed:
             state[i] = 0
             low = ((packed & -packed).bit_length() - 1) // W  # first nonzero limb
-            for s, c in enumerate(_unpack(packed, W, n, low, 1), low):
+            for s, c in enumerate(_unpack(packed, W, low, n), low):
                 if c:
                     rows[s][i - m] = c
     return rows

@@ -4,8 +4,9 @@ Everything in this file is deliberately written with a different algorithm
 and a different code shape from the package under test: include/exclude
 subset recursion instead of largest-part-first generation, a dict-of-Counter
 DP instead of packed big-integer limbs, a packed DP over every part instead
-of the package's class-factored closed forms, and a plain one-dimensional DP
-for the distinct-part counting sequence.  If the package and this file
+of the package's family engine, one dot product per column pair instead of
+the package's transposed single-weight engine, and a plain one-dimensional
+DP for the distinct-part counting sequence.  If the package and this file
 agree, the agreement means something.  The one exception is the contour
 trapezoid, which the package rounds exactly as numpy does: its oracle is the
 same rule run by numpy's vectorised operations.
@@ -136,6 +137,58 @@ def packed_dp_family(n_max: int, N: int, alpha: int, beta: int) -> list[dict[int
             if c:
                 rows[s][i - m] = c
     return rows
+
+
+def dot_product_counts(n: int, N: int, alpha: int, beta: int) -> dict[int, int]:
+    """f(k) at one weight n >= 1 by class-factored columns and dot products.
+
+    The generating function factorises by residue class, and Euler's
+    identity gives each class side in closed form: the z^j column of the
+    alpha side is A_j = q^{alpha j + N j(j-1)/2} / prod_{i<=j} (1 - q^{Ni}),
+    likewise B_l on the beta side, and the neutral classes multiply to D.
+    Every series is a full-width packed integer truncated at degree n, and
+    f(k) is the sum over j - l = k of [q^n] A_j * (B_l * D), one dot product
+    of unpacked limbs per column pair.  Keys come in ascending k order.
+    """
+    # every limb is at most d(n) <= e^{pi sqrt(n/3)} < 2^W
+    W = 8 * (int(math.pi * math.sqrt(n / 3) / math.log(2)) // 8 + 1)
+    Wb = W // 8
+    mask = (1 << ((n + 1) * W)) - 1
+
+    def columns(seed: int, r: int) -> Iterator[tuple[int, int]]:
+        x, low, j = seed, 0, 0
+        while low <= n:
+            yield low, x
+            x = (x << (r + N * j) * W) & mask
+            low += r + N * j
+            j += 1
+            a = N * j  # 1 / (1 - q^a) = (1 + q^a)(1 + q^{2a})(1 + q^{4a})...
+            while a <= n:
+                x = (x + (x << a * W)) & mask
+                a *= 2
+
+    def limbs(x: int, start: int, stride: int) -> list[int]:
+        blob = x.to_bytes((n + 1) * Wb, "little")
+        return [
+            int.from_bytes(blob[i : i + Wb], "little")
+            for i in range(start * Wb, (n + 1) * Wb, stride * Wb)
+        ]
+
+    D = 1
+    for r in range(1, N + 1):
+        if r not in (alpha, beta):
+            D = sum(x for _, x in columns(D, r))
+    a_cols = [(low, limbs(x, low, N)) for low, x in columns(1, alpha)]
+    counts: dict[int, int] = {}
+    for l, (low_e, e) in enumerate(columns(D, beta)):
+        e_rev = limbs(e, low_e, 1)[::-1]  # e_rev[s] = E_l[n - s] for s <= n - low_e
+        for j, (low_a, a) in enumerate(a_cols):
+            if low_a > n - low_e:
+                break
+            term = sum(x * y for x, y in zip(a, e_rev[low_a::N]))
+            if term:
+                counts[j - l] = counts.get(j - l, 0) + term
+    return {k: counts[k] for k in sorted(counts)}
 
 
 def numpy_contour_integral(

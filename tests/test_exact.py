@@ -242,6 +242,25 @@ def test_single_engine_matches_family_dp_and_enumeration(N):
             assert counts == oracles.reduce_to_pd(residues, N, spec.alpha, spec.beta)
 
 
+@pytest.mark.parametrize("n_max", [28, 78])
+def test_single_engine_fits_limbs_with_no_spare_bit(monkeypatch, n_max):
+    # d(n_max) fills its whole bytes exactly (8 and 16 bits), so with limbs of
+    # exactly that width any column limb, or any accumulator limb (one column
+    # pair's share of some f(k)), that exceeded d(n_max) would carry into the
+    # next limb and break the equality
+    W = _distinct_counts(n_max)[n_max].bit_length()
+    assert W % 8 == 0
+    monkeypatch.setattr(exact, "_limb_width_bits", lambda n: W)
+    for n in range(n_max + 1):
+        residues = oracles.residue_count_histograms(n, (2, 3, 4, 5, 6))
+        for N in range(2, 7):
+            for a in range(1, N + 1):
+                for b in range(1, N + 1):
+                    if a != b:
+                        counts = pd_distribution(n, ParitySpec(N, a, b)).counts
+                        assert counts == oracles.reduce_to_pd(residues[N], N, a, b), (n, N, a, b)
+
+
 @pytest.mark.parametrize("N", range(2, 7))
 def test_family_matches_packed_dp_and_dict_dp(N):
     # every class pair of modulus N, residue 0 (alpha = N or beta = N) included
@@ -289,6 +308,27 @@ def test_family_matches_single_engine_at_3000():
         # items, not dicts: both engines list k in ascending order
         single = pd_distribution(n, SPEC212)
         assert list(family[n].counts.items()) == list(single.counts.items()), n
+
+
+@pytest.mark.parametrize(
+    "spec, n",
+    [
+        (ParitySpec(2, 1, 2), 2000),
+        (ParitySpec(2, 1, 2), 2040),
+        (ParitySpec(5, 1, 2), 2300),
+        (ParitySpec(5, 1, 2), 2340),
+        (ParitySpec(3, 2, 3), 2200),
+        (ParitySpec(3, 2, 3), 2240),
+        (ParitySpec(2, 1, 2), 3000),
+        (ParitySpec(5, 1, 2), 3000),
+        (ParitySpec(3, 2, 3), 3000),
+    ],
+)
+def test_single_engine_matches_dot_products(spec, n):
+    # perfbench's single-weight bands and n = 3000, against one dot
+    # product per column pair; items, not dicts, so the key order counts too
+    ref = oracles.dot_product_counts(n, spec.N, spec.alpha, spec.beta)
+    assert list(pd_distribution(n, spec).counts.items()) == list(ref.items())
 
 
 @pytest.mark.parametrize("n", [2000, 3000])
