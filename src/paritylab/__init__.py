@@ -31,6 +31,7 @@ _EXPORTS: dict[str, tuple[str, ...]] = {
         "count_at_least_of",
         "count_distinct",
         "enumerate_distinct",
+        "lattice_span",
         "m_max",
         "parity_bias",
         "pd",

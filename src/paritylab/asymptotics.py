@@ -35,7 +35,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Sequence
 
-from .exact import ParitySpec
+from .exact import ParitySpec, lattice_span
 from .specialfn import _SQRT_PI, _erfc_cf, erfc
 
 __all__ = [
@@ -456,9 +456,20 @@ def estimate_hua(n: int) -> LogScaledValue:
 def estimate_bias(n: int, spec: ParitySpec) -> LogScaledValue:
     """Main term of the zero-threshold bias
     (count with pd >= 0, alpha-beta order) - (same, beta-alpha order):
-    e^{pi sqrt(n/3)} n^{-1} (beta - alpha) / (8 sqrt(3 N))."""
+    e^{pi sqrt(n/3)} n^{-1} (beta - alpha) / (8 sqrt(3 N)).
+
+    Raises ValueError on a lattice pair (exact.lattice_span > 1): there pd
+    keeps one residue mod h at each weight, so the bias depends on n mod h
+    (for N = 3 its sign flips at n == 2 mod 3), which this term does not see."""
     if n < 1:
         raise ValueError("n must be >= 1")
+    h = lattice_span(spec)
+    if h > 1:
+        raise ValueError(
+            f"the bias estimate does not hold for (N, alpha, beta) = "
+            f"({spec.N}, {spec.alpha}, {spec.beta}), whose parity differences "
+            f"have span {h}"
+        )
     bma = spec.beta - spec.alpha
     log_mag = (
         math.pi * math.sqrt(n / 3.0)

@@ -34,7 +34,7 @@ from .exact import (
     ParitySpec,
     PdDistribution,
     count_at_least_of,
-    m_max,
+    lattice_span,
     pd_distribution,
     pd_distribution_family,
 )
@@ -77,8 +77,8 @@ def __getattr__(name: str):
 # a weight above this needs explicit opt-in.  Measured end to end, import
 # included, for N = 2: one weight (class-factored engine) takes ~0.2 s at 3000
 # and ~0.35 s at 5000 (about the same for N = 5); a sweep (family engine, time
-# ~n^2.5, larger N is faster) ~1.2 s at 3000 and ~4 s at 5000, with a packed
-# state of ~9 MB and ~26 MB.
+# ~n^2.5, larger N is faster) ~1.2 s at 3000 and ~4 s at 5000, with a peak
+# RSS of ~34 MB and ~55 MB.
 # The threshold is the command-line contract, not a cost either engine needs
 HUGE_THRESHOLD = 3000
 # the exact-compute budget: no weight above it runs, whatever the flags
@@ -355,25 +355,15 @@ def _resolve_weights(config: RunConfig, single_only: bool = False) -> list[int]:
             )
         else:
             cost = (
-                "A sweep runs the family engine, whose time grows like n^2.5 "
-                "(about 1.2 s at n = 3000 and 4 s at n = 5000 for N = 2, "
-                "import included, less for larger N) and whose packed state is "
-                f"about {_family_state_estimate(top)} here"
+                "A sweep runs the family engine, whose time grows like n^2.5: "
+                "about 1.2 s and 34 MB peak RSS at n = 3000 and 4 s and 55 MB "
+                "at n = 5000 for N = 2, import included, less for larger N"
             )
         raise UsageError(
             f"n = {top} is above the desk-scale threshold {HUGE_THRESHOLD}; "
             f"pass --huge to acknowledge.  {cost}"
         )
     return ns
-
-
-def _family_state_estimate(n: int) -> str:
-    width = 2 * m_max(n) + 1
-    limb_bits = math.pi * math.sqrt(n / 3.0) / math.log(2.0) + 16
-    total = width * (n + 1) * (limb_bits / 8.0)
-    if total >= 1e9:
-        return f"{total / 1e9:.1f} GB"
-    return f"{total / 1e6:.0f} MB"
 
 
 def _distributions_for(
@@ -501,6 +491,15 @@ def cmd_dist(config: RunConfig, out: TextIO) -> int:
 
 
 def cmd_bias(config: RunConfig, out: TextIO) -> int:
+    spec = config.spec
+    span = lattice_span(spec)
+    if span > 1:
+        raise UsageError(
+            f"bias needs a class pair whose parity differences have span 1; "
+            f"(N, alpha, beta) = ({spec.N}, {spec.alpha}, {spec.beta}) keeps "
+            f"every pd at weight n in one residue class mod {span}, where the "
+            f"bias law does not hold"
+        )
     ns = _resolve_weights(config, single_only=True)
     n = ns[0]
     if n < 1:

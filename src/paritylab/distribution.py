@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exact import ParitySpec, PdDistribution, m_max
+from .exact import ParitySpec, PdDistribution, lattice_span, m_max
 from .specialfn import erfc
 
 __all__ = [
@@ -38,9 +38,10 @@ _Q3 = 3.0**0.25
 class NormalizedHistogram:
     """Area-1 histogram of the rescaled parity differences x = k n^{-1/4}.
 
-    points holds (x, density) with density = f(k) n^{1/4} / d(n), so that
-    sum(density) * bin width n^{-1/4} = 1.  mode is the x of maximal density
-    (ties resolve toward smaller |x|, then toward the positive side).
+    points holds (x, density) with density = f(k) n^{1/4} / (h d(n)), where
+    h is the span of the support (exact.lattice_span), so that
+    sum(density) * bin width h n^{-1/4} = 1.  mode is the x of maximal
+    density (ties resolve toward smaller |x|, then toward the positive side).
     """
 
     n: int
@@ -103,10 +104,14 @@ def bias_mode_prediction(N: int) -> float:
 
 
 def histogram_of(dist: PdDistribution) -> NormalizedHistogram:
-    """Area-1 normalized histogram of an exact distribution at weight n >= 1."""
+    """Area-1 normalized histogram of an exact distribution at weight n >= 1.
+
+    On a lattice pair the mass sits on every h-th k, so each bar is h levels
+    wide and the density is divided by h to compare with the Gaussian.
+    """
     if dist.n < 1:
         raise ValueError("histograms need n >= 1 (n = 0 is a single atom)")
-    total = dist.total()
+    total = lattice_span(dist.spec) * dist.total()
     scale = dist.n**0.25
     points = [
         (k / scale, float(Fraction(v, total)) * scale)

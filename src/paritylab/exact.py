@@ -42,13 +42,14 @@ neutral class.  Each job runs exactly one engine:
   2000-2340 of perfbench's `single` workload), and the limb products, one
   per column pair and degree that can be nonzero (0.2 to 0.45 million
   there), run inside CPython's multiplication.
-* pd_distribution_family (every weight s <= n_max) keeps one packed series
+* pd_distribution_family (every weight s <= n_max) makes one packed row
   per difference k, whose s-th limb is f_s(k).  The same closed forms are
   full series truncated at degree n_max, so they carry every weight at once:
   row k is sum_l C_{k+l} * B_l with C_j = D * A_j, evaluated by Horner's rule
   over l, where each step is a shift and a division by 1 - q^{Nl}, again by
-  doubling adds.  For N = 2 the state takes about 0.8-1 s at n_max = 3000
-  and 3-4 s at 5000, roughly n^2.5, and larger N is faster.
+  doubling adds.  Each row is unpacked into the per-weight counts as soon
+  as it is made.  For N = 2 this takes about 1 s at n_max = 3000 and 4 s
+  at 5000, roughly n^2.5, and larger N is faster.
 
 Limbs never overflow.  Every limb at degree s <= n of every packed series
 either engine builds (A_j, E_l, D and every partial sum on the way to them)
@@ -93,6 +94,7 @@ __all__ = [
     "ParitySpec",
     "PdDistribution",
     "m_max",
+    "lattice_span",
     "enumerate_distinct",
     "pd",
     "pd_distribution",
@@ -186,6 +188,19 @@ def m_max(n: int) -> int:
     if n < 0:
         raise ValueError("n must be >= 0")
     return (math.isqrt(8 * n + 1) - 1) // 2
+
+
+def lattice_span(spec: ParitySpec) -> int:
+    """h = gcd(N, alpha + beta, every residue in neither class): pd's span.
+
+    Mod h every neutral part is 0 and beta == -alpha, so n == alpha * pd and
+    pd keeps one residue mod h at each weight.  h is 3 for (3, {1, 2}), 2 for
+    (4, {1, 3}) and 1 otherwise; for N > 5 the neutral residues among 1..5
+    already have gcd 1 (no three of 1..5 share a factor), so the residues
+    above 5 never matter, however large N is.
+    """
+    neutral = (r for r in range(1, min(spec.N, 5) + 1) if r not in (spec.alpha, spec.beta))
+    return math.gcd(spec.N, spec.alpha + spec.beta, *neutral)
 
 
 # ---------------------------------------------------------------------------
@@ -327,7 +342,7 @@ def _neutral_series(n: int, spec: ParitySpec, W: int) -> int:
     """D = prod (1 + q^p) over the parts p <= n in neither class, packed."""
     N = spec.N
     D = 1
-    for r in range(1, N + 1):
+    for r in range(1, min(N, n) + 1):  # a class with no part <= n is the factor 1
         if r != spec.alpha and r != spec.beta:
             # D * prod_{p == r} (1 + q^p) = sum_j D * X_j, by Euler's identity at z = 1
             D = sum(x << low * W for low, x in _class_columns(D, 1, r, N, n, W))
@@ -368,7 +383,7 @@ def _alpha_rows(n: int, spec: ParitySpec, W: int) -> list[tuple[int, list[int], 
 
 
 def _class_factored_counts(n: int, spec: ParitySpec) -> dict[int, int]:
-    """f(k) = [q^n] sum_{j - l = k} A_j * B_l * D for one weight n >= 1.
+    """f(k) = [q^n] sum_{j - l = k} A_j * B_l * D for one weight n.
 
     A_j and B_l are the alpha and beta class columns (see _class_columns) and
     D is the neutral series (see _neutral_series).  The beta side is built as
@@ -403,8 +418,6 @@ def pd_distribution(n: int, spec: ParitySpec) -> PdDistribution:
     """Exact parity-difference distribution of the distinct-part partitions of n."""
     if n < 0:
         raise ValueError("n must be >= 0")
-    if n == 0:
-        return PdDistribution(0, spec, {0: 1})
     return PdDistribution(n, spec, _sorted_counts(_class_factored_counts(n, spec)))
 
 
@@ -413,23 +426,21 @@ def pd_distribution(n: int, spec: ParitySpec) -> PdDistribution:
 # ---------------------------------------------------------------------------
 
 
-def _family_state(n: int, spec: ParitySpec) -> tuple[list[int], int, int]:
-    """Return (state, offset m, limb width W) for every weight <= n at once.
+def _family_rows(n: int, spec: ParitySpec, W: int) -> Iterator[tuple[int, int, int]]:
+    """Yield (k, e, G) for every difference row that reaches weight n, in ascending k.
 
-    state[m + k] is a packed series whose s-th W-bit limb is f_s(k): the row
-    sum_l C_{k+l} * B_l, where C_j = D * A_j is the alpha stream and B_l the
-    beta column (see _class_columns).  B_l = B_{l-1} * q^{beta + N(l-1)} /
-    (1 - q^{Nl}), so each row is one Horner pass from its last column pair
-    inward: G <- C_{k+l-1} + q^{beta + N(l-1)} * G / (1 - q^{Nl}) for
-    l = l1 .. 1, starting at G = C_{k+l1} and leaving out C_j for j < 0.
-    Level l ends up multiplied by B_l, whose lowest degree is low_l, so only
-    its limbs of degree <= n - low_l are kept.  G holds the level divided by
-    q^e, where e is the lowest degree the level can have, so the all-zero
-    low limbs are never added.
+    The row is the packed series sum_l C_{k+l} * B_l, whose s-th W-bit limb
+    is f_s(k), where C_j = D * A_j is the alpha stream and B_l the beta column
+    (see _class_columns).  G is the row divided by q^e, where e is the lowest
+    degree the row can have, and keeps limbs 0..n - e.  B_l = B_{l-1} *
+    q^{beta + N(l-1)} / (1 - q^{Nl}), so each row is one Horner pass from its
+    last column pair inward: G <- C_{k+l-1} + q^{beta + N(l-1)} * G /
+    (1 - q^{Nl}) for l = l1 .. 1, starting at G = C_{k+l1} and leaving out C_j
+    for j < 0.  Level l ends up multiplied by B_l, whose lowest degree is
+    low_l, so only its limbs of degree <= n - low_l are kept.  G holds each
+    level divided by q^e as well, so the all-zero low limbs are never added.
     """
     N, beta = spec.N, spec.beta
-    W = _limb_width_bits(n)
-    m = m_max(n)
     D = _neutral_series(n, spec, W)
     low_a: list[int] = []  # lowest degree of C_j
     cols: list[int] = []  # C_j / q^{low_a[j]}
@@ -437,12 +448,11 @@ def _family_state(n: int, spec: ParitySpec) -> tuple[list[int], int, int]:
         low_a.append(low)
         cols.append(x)
     low_b = [  # lowest degree of B_l
-        low for l in range(m + 1) if (low := beta * l + N * l * (l - 1) // 2) <= n
+        low for l in range(m_max(n) + 1) if (low := beta * l + N * l * (l - 1) // 2) <= n
     ]
     rows_k = range(1 - len(low_b), len(cols))
     low_a.append(n + 1)  # sentinels: no column pair past the last reaches degree n
     low_b.append(n + 1)
-    state = [0] * (2 * m + 1)
     for k in rows_k:
         # the column pairs (k + l, l) with a term of degree <= n: l in l0..l1
         l0 = l1 = max(0, -k)
@@ -461,27 +471,9 @@ def _family_state(n: int, spec: ParitySpec) -> tuple[list[int], int, int]:
                     G << (e - low_a[j]) * W
                 )
                 e = low_a[j]
-        state[m + k] = G << e * W
         if k >= 0:
             cols[k] = 0  # rows above k start at column k + 1
-    return state, m, W
-
-
-def _extract_rows(state: list[int], m: int, W: int, n: int) -> list[dict[int, int]]:
-    """Unpack limbs: rows[s] = {k: f_s(k)} for every weight s <= n.
-
-    Each packed row is dropped from `state` once unpacked, so the packed
-    state and the unpacked rows are never both held in full.
-    """
-    rows: list[dict[int, int]] = [{} for _ in range(n + 1)]
-    for i, packed in enumerate(state):
-        if packed:
-            state[i] = 0
-            low = ((packed & -packed).bit_length() - 1) // W  # first nonzero limb
-            for s, c in enumerate(_unpack(packed, W, low, n), low):
-                if c:
-                    rows[s][i - m] = c
-    return rows
+        yield k, e, G
 
 
 def pd_distribution_family(n_max: int, spec: ParitySpec) -> list[PdDistribution]:
@@ -489,16 +481,20 @@ def pd_distribution_family(n_max: int, spec: ParitySpec) -> list[PdDistribution]
 
     Every packed series carries one limb per weight, so the whole family
     costs one pass at n_max: closed-form neutral and alpha columns, then one
-    Horner pass over them per difference row (about 1-1.3 s at n_max = 3000
-    and 3.5-4 s at 5000 for N = 2, less for larger N).  Sweep commands and the
-    n-by-n acceptance checks use this instead of n_max separate runs.
+    Horner pass over them per difference row (about 1 s at n_max = 3000 and
+    4 s at 5000 for N = 2, less for larger N).  Each row is unpacked into
+    the per-weight counts as soon as it is made, so no more than one packed
+    row is held at a time.  Sweep commands and the n-by-n acceptance checks
+    use this instead of n_max separate runs.
     """
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
-    if n_max == 0:
-        return [PdDistribution(0, spec, {0: 1})]
-    state, m, W = _family_state(n_max, spec)
-    rows = _extract_rows(state, m, W, n_max)
+    W = _limb_width_bits(n_max)
+    rows: list[dict[int, int]] = [{} for _ in range(n_max + 1)]
+    for k, e, G in _family_rows(n_max, spec, W):
+        for s, c in enumerate(_unpack(G, W, 0, n_max - e), e):
+            if c:
+                rows[s][k] = c
     return [PdDistribution(s, spec, row) for s, row in enumerate(rows)]
 
 

@@ -48,20 +48,27 @@ def pd_histogram(n: int, N: int, alpha: int, beta: int) -> dict[int, int]:
     return dict(hist)
 
 
-def residue_count_histograms(n: int, moduli: tuple[int, ...]) -> dict[int, Counter]:
-    """One enumeration pass shared across moduli.
+def residue_count_histograms(n_max: int, moduli: tuple[int, ...]) -> dict[int, list[Counter]]:
+    """Per modulus N and weight s <= n_max, a Counter over the tuples
+    (count of parts in residue 0, ..., count in residue N-1) of the
+    distinct-part partitions of s.
 
-    Returns, per modulus N, a Counter over tuples (count of parts in residue
-    0, ..., count in residue N-1); every (alpha, beta) histogram for that N
-    can then be reduced from it without re-enumerating.
+    A DP over the parts 1..n_max that keeps one Counter of tuples per weight:
+    taking part p adds the tuples of weight s - p, with p's residue counted
+    once more, to weight s, from the top weight down so each part is taken
+    at most once.  Every (alpha, beta) histogram for that N reduces from it.
     """
-    out: dict[int, Counter] = {N: Counter() for N in moduli}
-    for parts in distinct_partitions(n):
-        for N in moduli:
-            cnt = [0] * N
-            for p in parts:
-                cnt[p % N] += 1
-            out[N][tuple(cnt)] += 1
+    out: dict[int, list[Counter]] = {}
+    for N in moduli:
+        table: list[Counter] = [Counter() for _ in range(n_max + 1)]
+        table[0][(0,) * N] = 1
+        for p in range(1, n_max + 1):
+            r = p % N
+            for s in range(n_max, p - 1, -1):
+                into = table[s]
+                for cnt, mult in table[s - p].items():
+                    into[cnt[:r] + (cnt[r] + 1,) + cnt[r + 1 :]] += mult
+        out[N] = table
     return out
 
 

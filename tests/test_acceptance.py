@@ -21,14 +21,17 @@ from paritylab import (
     check_sy_taylor,
     count_at_least_of,
     count_distinct,
+    estimate_bias,
     estimate_hua,
     estimate_thm1,
     estimate_thm2,
     gaussian_density,
     guarded_ceil,
+    histogram_of,
     ks_distance_of,
     l_count_check,
     lambda_y,
+    lattice_span,
     n3_class_shift,
     nh_value,
     nr_coefficient,
@@ -40,20 +43,33 @@ from paritylab.cli import main as cli_main
 
 SPEC212 = ParitySpec(2, 1, 2)
 SQRT3 = math.sqrt(3.0)
+# every ordered class pair with N <= 6; four of them are lattice pairs
+EVERY_PAIR = [
+    ParitySpec(N, a, b)
+    for N in range(2, 7)
+    for a in range(1, N + 1)
+    for b in range(1, N + 1)
+    if a != b
+]
+
+
+@pytest.fixture(scope="module")
+def every_pair_2000():
+    return {spec: pd_distribution(2000, spec) for spec in EVERY_PAIR}
 
 
 def test_criterion_01_oracle_equivalence():
     """Exact DP tail counts equal brute-force enumeration: n <= 40,
     N in {2,3,5}, every ordered class pair, c in -3..3."""
     moduli = (2, 3, 5)
+    ref = oracles.residue_count_histograms(40, moduli)
     for n in range(41):
-        ref = oracles.residue_count_histograms(n, moduli)
         for N in moduli:
             for alpha in range(1, N + 1):
                 for beta in range(1, N + 1):
                     if alpha == beta:
                         continue
-                    expected = oracles.reduce_to_pd(ref[N], N, alpha, beta)
+                    expected = oracles.reduce_to_pd(ref[N][n], N, alpha, beta)
                     dist = pd_distribution(n, ParitySpec(N, alpha, beta))
                     assert dist.counts == expected
                     for c in range(-3, 4):
@@ -154,6 +170,41 @@ def test_criterion_07_bias_limit_law(family2):
     assert mode_c in {4, 5, 6}
     predicted = round(bias_mode_prediction(2) * 2000**0.25)
     assert predicted in {4, 5, 6}
+
+
+def test_criterion_05_bias_sign_every_class_pair(every_pair_2000):
+    """At n = 2000, the aggregate bias has the sign of beta - alpha for
+    every ordered class pair with N <= 6 whose parity differences have
+    lattice span 1 (66 of the 70)."""
+    pairs = [spec for spec in EVERY_PAIR if lattice_span(spec) == 1]
+    assert len(pairs) == 66
+    for spec in pairs:
+        aggregate = bias_profile_of(every_pair_2000[spec]).normalizer
+        assert aggregate != 0 and (aggregate > 0) == (spec.beta > spec.alpha), spec
+
+
+def test_criterion_06_gaussian_peak_every_class_pair(every_pair_2000):
+    """At n = 2000, the largest density of the area-1 histogram is within
+    10 % of the Gaussian's peak for all 70 ordered class pairs with N <= 6,
+    the four lattice pairs included."""
+    for spec, dist in every_pair_2000.items():
+        peak = max(density for _, density in histogram_of(dist).points)
+        assert abs(peak / gaussian_density(0.0, spec.N) - 1.0) <= 0.10, spec
+
+
+def test_criterion_07_bias_estimate_every_class_pair(every_pair_2000):
+    """At n = 2000, estimate_bias is within 4 % of the exact aggregate bias
+    for every pair of lattice span 1 with N <= 6, and raises on the four
+    lattice pairs."""
+    for spec, dist in every_pair_2000.items():
+        if lattice_span(spec) > 1:
+            with pytest.raises(ValueError, match="span"):
+                estimate_bias(2000, spec)
+            continue
+        aggregate = bias_profile_of(dist).normalizer
+        # estimate / aggregate, whose sign is that of beta - alpha
+        ratio = estimate_bias(2000, spec).ratio_to(abs(aggregate)) * (1 if aggregate > 0 else -1)
+        assert abs(ratio - 1.0) <= 0.04, spec
 
 
 def test_criterion_08_residue_tuple_combinatorics():

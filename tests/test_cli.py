@@ -2,14 +2,21 @@ import contextlib
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import paritylab
 import paritylab.specialfn as specialfn
 from paritylab.cli import main
+
+SRC = str(Path(paritylab.__file__).resolve().parent.parent)
 
 
 def run_cli(capsys, *argv):
@@ -151,6 +158,16 @@ def test_bias_rows_n8(capsys):
     assert [r[0] for r in rows] == ["0", "1", "2"]
     assert [r[2] for r in rows] == ["0", "1", "1"]
     assert sum(float(r[3]) for r in rows[1:]) == pytest.approx(1.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("N, alpha, beta", [(3, 1, 2), (3, 2, 1), (4, 1, 3), (4, 3, 1)])
+def test_bias_refuses_lattice_pairs(capsys, N, alpha, beta):
+    # pd keeps one residue mod 3 or mod 2 at each weight, so the bias law fails
+    code, out, err = run_cli(
+        capsys, "bias", "--n", "200", "--N", str(N), "--alpha", str(alpha), "--beta", str(beta)
+    )
+    assert (code, out) == (2, "")
+    assert err.startswith("error: bias needs a class pair") and "mod " in err
 
 
 # ---------------------------------------------------------------------------
@@ -313,6 +330,20 @@ def test_unwritable_out_is_usage_error(capsys, tmp_path, argv):
     assert err.startswith("error: cannot write --out")
 
 
+def test_huge_modulus_at_small_weight_exits_at_once():
+    # only residues r <= n are visited, so N = 10^12 costs what N = 5 does
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "paritylab", "count", "--n", "5", "--N", str(10**12), "--c", "0"],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=10,
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "n,c,count\n5,0,2\n", "")
+
+
 def test_ceiling_refusal_names_budget(capsys):
     code, _, err = run_cli(capsys, "count", "--n", "6000", "--c", "0")
     assert code == 3
@@ -352,7 +383,8 @@ def test_huge_refusal_of_a_sweep_gives_the_family_engine_figures(capsys):
     code, out, err = run_cli(capsys, "count", "--n-range", "3000:4000:100", "--c", "0")
     assert (code, out) == (2, "")
     assert "family engine" in err and "class-factored" not in err
-    assert "about 16 MB here" in err
+    # measured end-to-end figures, not a formula for a packed state
+    assert "4 s and 55 MB at n = 5000" in err and "packed state" not in err
 
 
 # ---------------------------------------------------------------------------

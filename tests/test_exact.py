@@ -1,4 +1,5 @@
 import math
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -12,6 +13,7 @@ from paritylab import (
     count_at_least_of,
     count_distinct,
     enumerate_distinct,
+    lattice_span,
     m_max,
     parity_bias,
     pd,
@@ -219,6 +221,60 @@ def test_family_consistent_with_single_runs():
         assert family[n].counts == pd_distribution(n, SPEC212).counts
 
 
+def test_engines_at_weights_0_and_1_for_every_class_pair():
+    # neither engine has a branch of its own for weight 0, the empty partition
+    for N in range(2, 7):
+        for a in range(1, N + 1):
+            for b in range(1, N + 1):
+                if a == b:
+                    continue
+                spec = ParitySpec(N, a, b)
+                ref = oracles.pd_histograms_upto(1, N, a, b)
+                for n_max in (0, 1):
+                    family = pd_distribution_family(n_max, spec)
+                    assert [(d.n, d.counts) for d in family] == list(enumerate(ref[: n_max + 1]))
+                    assert pd_distribution(n_max, spec).counts == ref[n_max], (spec, n_max)
+
+
+def test_huge_modulus_at_small_weight():
+    # no part of 5 lies in a residue class above 5, so N = 10^12 costs what N = 5 does
+    spec = ParitySpec(10**12, 1, 2)
+    ref = oracles.pd_histogram(5, 10**12, 1, 2)
+    assert pd_distribution(5, spec).counts == ref
+    assert pd_distribution_family(5, spec)[5].counts == ref
+
+
+def test_lattice_span_is_the_span_of_the_support():
+    # the gcd of the differences between support keys, at n = 200..203 for
+    # every pair with N <= 8; exactly the four ordered lattice pairs exceed 1
+    lattice = set()
+    for N in range(2, 9):
+        for a in range(1, N + 1):
+            for b in range(1, N + 1):
+                if a == b:
+                    continue
+                spec = ParitySpec(N, a, b)
+                family = pd_distribution_family(203, spec)
+                for n in range(200, 204):
+                    keys = list(family[n].counts)
+                    assert math.gcd(*(k - keys[0] for k in keys)) == lattice_span(spec), (spec, n)
+                if lattice_span(spec) > 1:
+                    lattice.add((N, a, b))
+    assert lattice == {(3, 1, 2), (3, 2, 1), (4, 1, 3), (4, 3, 1)}
+
+
+def test_residue_count_dp_matches_enumeration():
+    moduli = (2, 3, 4, 5, 6)
+    table = oracles.residue_count_histograms(40, moduli)
+    for n in range(41):
+        for N in moduli:
+            ref = Counter(
+                tuple(sum(1 for p in parts if p % N == r) for r in range(N))
+                for parts in oracles.distinct_partitions(n)
+            )
+            assert table[N][n] == ref, (n, N)
+
+
 # ---------------------------------------------------------------------------
 # the single-weight engine against the family DP and the invariants
 # ---------------------------------------------------------------------------
@@ -234,12 +290,12 @@ def test_single_engine_matches_family_dp_and_enumeration(N):
         if a != b
     ]
     families = {spec: pd_distribution_family(60, spec) for spec in specs}
+    residues = oracles.residue_count_histograms(60, (N,))[N]
     for n in range(61):
-        residues = oracles.residue_count_histograms(n, (N,))[N]
         for spec in specs:
             counts = pd_distribution(n, spec).counts
             assert counts == families[spec][n].counts, (n, spec)
-            assert counts == oracles.reduce_to_pd(residues, N, spec.alpha, spec.beta)
+            assert counts == oracles.reduce_to_pd(residues[n], N, spec.alpha, spec.beta)
 
 
 @pytest.mark.parametrize("n_max", [28, 78])
@@ -251,14 +307,14 @@ def test_single_engine_fits_limbs_with_no_spare_bit(monkeypatch, n_max):
     W = _distinct_counts(n_max)[n_max].bit_length()
     assert W % 8 == 0
     monkeypatch.setattr(exact, "_limb_width_bits", lambda n: W)
+    residues = oracles.residue_count_histograms(n_max, (2, 3, 4, 5, 6))
     for n in range(n_max + 1):
-        residues = oracles.residue_count_histograms(n, (2, 3, 4, 5, 6))
         for N in range(2, 7):
             for a in range(1, N + 1):
                 for b in range(1, N + 1):
                     if a != b:
                         counts = pd_distribution(n, ParitySpec(N, a, b)).counts
-                        assert counts == oracles.reduce_to_pd(residues[N], N, a, b), (n, N, a, b)
+                        assert counts == oracles.reduce_to_pd(residues[N][n], N, a, b), (n, N, a, b)
 
 
 @pytest.mark.parametrize("N", range(2, 7))

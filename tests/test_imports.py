@@ -89,6 +89,7 @@ def test_job_loads_neither(argv):
         ["count", "--n", "40", "--c", "1"],
         ["count", "--n", "-1"],
         ["compare", "--n", "100", "--N", "3"],
+        ["bias", "--n", "100", "--N", "3"],
     ],
     ids=lambda argv: " ".join(argv),
 )

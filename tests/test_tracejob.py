@@ -1,0 +1,46 @@
+"""What perfbench's `--trace 1` runs rely on: tracejob.py wraps the engines by
+name, changes no byte of a job's output, and records each engine call as one
+span with the sizes the cost model reads."""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import paritylab
+
+SRC = str(Path(paritylab.__file__).resolve().parent.parent)
+TRACEJOB = Path(__file__).resolve().parent.parent / "perfbench" / "tracejob.py"
+
+
+def run(*argv):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, *argv], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+@pytest.mark.parametrize(
+    "argv, span, attrs",
+    [
+        (
+            ["count", "--n-range", "50:60", "--c", "0"],
+            "exact.pd_distribution_family",
+            {"n": 60, "out": 61},
+        ),
+        (["count", "--n", "60", "--c", "0"], "exact.pd_distribution", {"n": 60, "out": 1}),
+    ],
+    ids=["sweep", "single"],
+)
+def test_tracejob_keeps_stdout_and_spans_the_engine(tmp_path, argv, span, attrs):
+    spans_path = tmp_path / "spans.json"
+    assert run(str(TRACEJOB), str(spans_path), *argv) == run("-m", "paritylab", *argv)
+    spans = json.loads(spans_path.read_text())["spans"]
+    engine = [s for s in spans if s[2].startswith("exact.")]
+    assert [(s[2], s[5]) for s in engine] == [(span, attrs)]
