@@ -35,7 +35,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Sequence
 
-from .exact import ParitySpec, lattice_span
+from .exact import ParitySpec, _require_span_one
 from .specialfn import _SQRT_PI, _erfc_cf, erfc
 
 __all__ = [
@@ -463,13 +463,7 @@ def estimate_bias(n: int, spec: ParitySpec) -> LogScaledValue:
     (for N = 3 its sign flips at n == 2 mod 3), which this term does not see."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    h = lattice_span(spec)
-    if h > 1:
-        raise ValueError(
-            f"the bias estimate does not hold for (N, alpha, beta) = "
-            f"({spec.N}, {spec.alpha}, {spec.beta}), whose parity differences "
-            f"have span {h}"
-        )
+    _require_span_one(spec, "the bias estimate")
     bma = spec.beta - spec.alpha
     log_mag = (
         math.pi * math.sqrt(n / 3.0)

@@ -193,7 +193,11 @@ def _build_parser() -> argparse.ArgumentParser:
     sub.add_parser("count", parents=[common], help="exact tail counts")
     sub.add_parser("compare", parents=[common], help="exact vs two-term estimates")
     sub.add_parser("dist", parents=[common], help="normalized histogram data")
-    sub.add_parser("bias", parents=[common], help="bias profile data")
+    bias_help = (
+        "bias profile data: pb_normalized is a mass per level c, density is "
+        "per unit x = c n^(-1/4), so the two differ by a factor n^(1/4)"
+    )
+    sub.add_parser("bias", parents=[common], help=bias_help, description=bias_help)
     sub.add_parser("verify", parents=[common], help="run the verification suite")
     return parser
 
@@ -320,23 +324,22 @@ def _fmt_threshold(c: float) -> str:
     return repr(float(c))
 
 
-def _resolve_weights(config: RunConfig, single_only: bool = False) -> list[int]:
+def _resolve_weights(config: RunConfig, single_only: bool = False) -> range:
+    """The requested weights, ascending: one for --n, the sweep for --n-range."""
     if config.n is not None and config.n_range is not None:
         raise UsageError("give either --n or --n-range, not both")
-    if single_only:
-        if config.n is None:
-            raise UsageError("this subcommand needs a single --n")
-        ns = [config.n]
-    elif config.n is not None:
-        ns = [config.n]
+    if single_only and config.n is None:
+        raise UsageError("this subcommand needs a single --n")
+    if config.n is not None:
+        ns = range(config.n, config.n + 1)
     elif config.n_range is not None:
         start, end, step = config.n_range
-        ns = list(range(start, end + 1, step))
+        ns = range(start, end + 1, step)
     else:
         raise UsageError("give --n or --n-range")
-    if any(n < 0 for n in ns):
+    if ns[0] < 0:
         raise UsageError("weights must be >= 0")
-    top = max(ns)
+    top = ns[-1]
     # checked here, ahead of the --huge gate, so an over-budget weight is a
     # budget refusal (exit 3) whether or not --huge is given
     ceiling = _exact_ceiling()
@@ -366,15 +369,12 @@ def _resolve_weights(config: RunConfig, single_only: bool = False) -> list[int]:
     return ns
 
 
-def _distributions_for(
-    config: RunConfig, ns: list[int]
-) -> dict[int, PdDistribution]:
-    """One family pass when sweeping, a single-weight pass otherwise."""
+def _distributions_for(config: RunConfig, ns: range) -> dict[int, PdDistribution]:
+    """One family pass when sweeping, unpacked at ns only; a single-weight pass otherwise."""
     if len(ns) == 1:
         n = ns[0]
         return {n: pd_distribution(n, config.spec)}
-    family = pd_distribution_family(max(ns), config.spec)
-    return {n: family[n] for n in ns}
+    return dict(zip(ns, pd_distribution_family(ns[-1], config.spec, ns)))
 
 
 def _write(config: RunConfig, text: str, out: TextIO) -> None:

@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exact import ParitySpec, PdDistribution, lattice_span, m_max
+from .exact import ParitySpec, PdDistribution, _require_span_one, lattice_span, m_max
 from .specialfn import erfc
 
 __all__ = [
@@ -128,9 +128,13 @@ def ks_distance_of(dist: PdDistribution) -> float:
     Convention (fixed deliberately): the right-continuous empirical CDF is
     evaluated at its jump points only, i.e. sup_k |F_emp(x_k) - F(x_k)| over
     the support.  Deterministic and one-sided at each jump.
+
+    Raises ValueError on a lattice pair: there the empirical CDF jumps only
+    at every h-th level, and the distance measures the height of its steps.
     """
     if dist.n < 1:
         raise ValueError("KS distance needs n >= 1")
+    _require_span_one(dist.spec, "the level-by-level Gaussian comparison")
     N = dist.spec.N
     total = dist.total()
     scale = dist.n**-0.25
@@ -170,9 +174,12 @@ def bias_cumulative_ratio(dist: PdDistribution, a: float, b: float) -> float:
     Converges to e^{-pi N a^2/(4 sqrt 3)} - e^{-pi N b^2/(4 sqrt 3)}; any
     b >= m_max(n) n^{-1/4} behaves as b = infinity and the telescoping
     identity makes the ratio exactly 1 from a = 0.
+
+    Raises ValueError on a lattice pair, where the bias depends on n mod h.
     """
     if not 0.0 <= a <= b:
         raise ValueError("need 0 <= a <= b")
+    _require_span_one(dist.spec, "the bias law")
     profile = bias_profile_of(dist)
     if profile.normalizer == 0:
         raise ValueError("aggregate bias is zero: n too small for the bias law")

@@ -48,8 +48,9 @@ neutral class.  Each job runs exactly one engine:
   row k is sum_l C_{k+l} * B_l with C_j = D * A_j, evaluated by Horner's rule
   over l, where each step is a shift and a division by 1 - q^{Nl}, again by
   doubling adds.  Each row is unpacked into the per-weight counts as soon
-  as it is made.  For N = 2 this takes about 1 s at n_max = 3000 and 4 s
-  at 5000, roughly n^2.5, and larger N is faster.
+  as it is made, at the requested weights only.  For N = 2 this takes
+  about 1 s at n_max = 3000 and 4 s at 5000, roughly n^2.5, and larger N
+  is faster.
 
 Limbs never overflow.  Every limb at degree s <= n of every packed series
 either engine builds (A_j, E_l, D and every partial sum on the way to them)
@@ -67,10 +68,11 @@ q^{low_l} G^(l) <= sum_{l'} C_{k+l'} B_{l'} (the row) coefficientwise.  A
 level keeps only its limbs of degree <= n - low_l, so each is at most d(n),
 and each partial product of the division that leads to a level is at most
 that level.  And d(n) q^n <= prod_k (1 + q^k) <= exp(pi^2 / (12 t)) at
-q = e^{-t}; t = pi / sqrt(12 n) gives d(n) <= e^{pi sqrt(n/3)} < 2^(W-15)
-for the W of _limb_width_bits (in practice d(n) < 2^(W-16)).  Shifts and
-carries only move upward, so truncating at degree n drops exactly the terms
-above n.
+q = e^{-t}; t = pi / sqrt(12 n) gives d(n) <= e^{pi sqrt(n/3)}, so d(n) has
+at most floor(pi sqrt(n/3) / ln 2) + 1 bits, one fewer than the W of
+_limb_width_bits (in practice d(n) sits about 10 bits below the bound).
+Shifts and carries only move upward, so truncating at degree n drops
+exactly the terms above n.
 
 The engines take no budget: they compute any n they are given, exactly, and
 the argument above holds at every n.  What a job may
@@ -203,6 +205,18 @@ def lattice_span(spec: ParitySpec) -> int:
     return math.gcd(spec.N, spec.alpha + spec.beta, *neutral)
 
 
+def _require_span_one(spec: ParitySpec, what: str) -> None:
+    """Raise ValueError on a lattice pair (lattice_span > 1), where pd keeps
+    one residue mod h at each weight and the level-by-level limits fail."""
+    h = lattice_span(spec)
+    if h > 1:
+        raise ValueError(
+            f"{what} does not hold for (N, alpha, beta) = "
+            f"({spec.N}, {spec.alpha}, {spec.beta}), whose parity differences "
+            f"have span {h}"
+        )
+
+
 # ---------------------------------------------------------------------------
 # enumeration oracle
 # ---------------------------------------------------------------------------
@@ -260,29 +274,36 @@ def pd(partition: Partition, spec: ParitySpec) -> int:
 def _limb_width_bits(n: int) -> int:
     """Bits per packed limb: enough for every count f_s(k) <= d(s) <= d(n).
 
-    log2 d(n) <= pi*sqrt(n/3)/ln 2 + O(log n); 16 guard bits absorb the
-    lower-order factor, and the total is rounded up to a whole number of bytes
-    so a limb is a fixed-width bytes field (see _limbs).
+    d(n) <= e^{pi sqrt(n/3)} (see the module docstring), so d(n) has at most
+    floor(pi sqrt(n/3) / ln 2) + 1 bits.  One bit more absorbs a rounding of
+    the float bound, and the total is rounded up to a whole number of bytes
+    so a limb is a fixed-width bytes field (see _limbs).  The bound is a
+    rigorous upper bound, not an estimate that needs guard bits: d(n) sits
+    about 10 bits below it (7 at n = 100, 13 at n = 20 000), since the
+    bound leaves out d(n)'s factor of order n^{-3/4}.
     """
     bound = math.pi * math.sqrt(max(n, 1) / 3.0) / math.log(2.0)
-    bits = int(bound) + 16
+    bits = int(bound) + 2
     return ((bits + 7) // 8) * 8
 
 
-def _limbs(blob: bytes | memoryview, Wb: int) -> list[int]:
-    """The little-endian Wb-byte limbs of a byte string, lowest first.
+def _limbs(blob: bytes | memoryview, Wb: int, step: int = 1) -> list[int]:
+    """Every step-th little-endian Wb-byte limb of a byte string, lowest first.
 
-    The struct module caches the compiled format, and the maps keep the loop
-    over limbs out of Python bytecode.
+    len(blob) is a multiple of step * Wb.  The struct module caches the
+    compiled format, whose pad bytes skip the step - 1 limbs between two
+    that are read, and the maps keep the loop over limbs out of Python
+    bytecode.
     """
-    chunks = map(operator.itemgetter(0), struct.iter_unpack(f"{Wb}s", blob))
+    fmt = f"{Wb}s{(step - 1) * Wb}x"
+    chunks = map(operator.itemgetter(0), struct.iter_unpack(fmt, blob))
     return list(map(int.from_bytes, chunks, itertools.repeat("little")))
 
 
-def _unpack(packed: int, W: int, start: int, top: int) -> list[int]:
-    """Limbs start..top of a packed series."""
+def _unpack(packed: int, W: int, top: int) -> list[int]:
+    """Limbs 0..top of a packed series."""
     Wb = W // 8
-    return _limbs(memoryview(packed.to_bytes((top + 1) * Wb, "little"))[start * Wb :], Wb)
+    return _limbs(packed.to_bytes((top + 1) * Wb, "little"), Wb)
 
 
 def _low_limbs(x: int, top: int, W: int) -> int:
@@ -400,7 +421,7 @@ def _class_factored_counts(n: int, spec: ParitySpec) -> dict[int, int]:
     g = N if D == 1 else 1  # without neutral classes E_l is a series in q^N too
     counts: dict[int, int] = {}
     for l, (low_e, x) in enumerate(_class_columns(D, g, spec.beta, N, n, W)):
-        e = _unpack(x, W, 0, (n - low_e) // g)  # e[i] = E_l[low_e + g i]
+        e = _unpack(x, W, (n - low_e) // g)  # e[i] = E_l[low_e + g i]
         for rho, js, rows in alpha_rows:
             # rows[u] meets E_l at degree n - rho - N u, limb (d - N u) / g of e
             d = n - rho - low_e
@@ -408,7 +429,7 @@ def _class_factored_counts(n: int, spec: ParitySpec) -> dict[int, int]:
                 continue
             acc = sum(map(operator.mul, rows, e[d // g :: -(N // g)]))
             if acc:
-                for j, c in zip(js, _unpack(acc, W, 0, len(js) - 1)):
+                for j, c in zip(js, _unpack(acc, W, len(js) - 1)):
                     if c:
                         counts[j - l] = counts.get(j - l, 0) + c
     return counts
@@ -476,26 +497,44 @@ def _family_rows(n: int, spec: ParitySpec, W: int) -> Iterator[tuple[int, int, i
         yield k, e, G
 
 
-def pd_distribution_family(n_max: int, spec: ParitySpec) -> list[PdDistribution]:
-    """Distributions for every 0 <= n <= n_max from a single pass.
+def pd_distribution_family(
+    n_max: int, spec: ParitySpec, weights: range | None = None
+) -> list[PdDistribution]:
+    """Distributions at every weight 0..n_max, or at `weights`, from one pass.
 
     Every packed series carries one limb per weight, so the whole family
     costs one pass at n_max: closed-form neutral and alpha columns, then one
     Horner pass over them per difference row (about 1 s at n_max = 3000 and
-    4 s at 5000 for N = 2, less for larger N).  Each row is unpacked into
-    the per-weight counts as soon as it is made, so no more than one packed
-    row is held at a time.  Sweep commands and the n-by-n acceptance checks
-    use this instead of n_max separate runs.
+    4 s at 5000 for N = 2, less for larger N).  Each row is unpacked as soon
+    as it is made, so no more than one packed row is held at a time, and
+    only at the weights asked for: `weights` is a range with step >= 1
+    inside 0..n_max, and the distributions come back in its order.  The
+    default is every weight, so list index = weight.  Sweep commands and
+    the n-by-n acceptance checks use this instead of separate runs.
     """
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
+    if weights is None:
+        weights = range(n_max + 1)
+    elif weights.step < 1 or weights.start < 0 or (weights and weights[-1] > n_max):
+        raise ValueError(
+            f"weights must be a range with step >= 1 inside 0..{n_max}, got {weights!r}"
+        )
     W = _limb_width_bits(n_max)
-    rows: list[dict[int, int]] = [{} for _ in range(n_max + 1)]
+    Wb = W // 8
+    start, step = weights.start, weights.step
+    rows: list[dict[int, int]] = [{} for _ in weights]
     for k, e, G in _family_rows(n_max, spec, W):
-        for s, c in enumerate(_unpack(G, W, 0, n_max - e), e):
+        i = max(0, -((start - e) // step))  # index of the first weight >= e
+        if i >= len(rows):
+            continue
+        lo = (weights[i] - e) * Wb  # its first byte in G; the bytes past G's top limb are 0
+        blob = G.to_bytes((n_max - e + step) * Wb, "little")
+        limbs = _limbs(memoryview(blob)[lo : lo + (len(rows) - i) * step * Wb], Wb, step)
+        for i, c in enumerate(limbs, i):
             if c:
-                rows[s][k] = c
-    return [PdDistribution(s, spec, row) for s, row in enumerate(rows)]
+                rows[i][k] = c
+    return [PdDistribution(s, spec, row) for s, row in zip(weights, rows)]
 
 
 # ---------------------------------------------------------------------------

@@ -155,6 +155,35 @@ def test_bias_cumulative_ratio_validation():
         bias_cumulative_ratio(pd_distribution(4, SPEC212), 0.0, 1.0)
 
 
+@pytest.mark.parametrize(
+    "spec, ks, ratio",
+    [
+        (ParitySpec(2, 1, 2), 0.033287230412995084, 0.640410544512821),
+        (ParitySpec(3, 1, 3), 0.02677149128719558, 0.7856913086774486),
+    ],
+)
+def test_ks_and_bias_ratio_on_span_one_pairs(spec, ks, ratio):
+    # the values before the lattice guard existed, at n = 300
+    dist = pd_distribution(300, spec)
+    assert ks_distance_of(dist) == ks
+    assert bias_cumulative_ratio(dist, 0.0, 1.0) == ratio
+
+
+@pytest.mark.parametrize(
+    "spec, span",
+    [(ParitySpec(3, 1, 2), 3), (ParitySpec(3, 2, 1), 3), (ParitySpec(4, 1, 3), 2), (ParitySpec(4, 3, 1), 2)],
+)
+def test_ks_and_bias_ratio_refuse_lattice_pairs(spec, span):
+    # pd keeps one residue mod the span: for (3,1,2) the bias mass on [0, 1]
+    # would read 0.75, 1.30 and 1.86 at n = 3000-3002, and the empirical CDF
+    # jumps at every third level only
+    dist = pd_distribution(300, spec)
+    with pytest.raises(ValueError, match=f"have span {span}"):
+        ks_distance_of(dist)
+    with pytest.raises(ValueError, match=f"have span {span}"):
+        bias_cumulative_ratio(dist, 0.0, 1.0)
+
+
 def test_bias_support_bound():
     assert bias_support_bound(2000) == m_max(2000) * 2000**-0.25
     dist = pd_distribution(200, SPEC212)

@@ -221,6 +221,54 @@ def test_family_consistent_with_single_runs():
         assert family[n].counts == pd_distribution(n, SPEC212).counts
 
 
+@pytest.mark.parametrize(
+    "weights",
+    [
+        range(50, 301, 7),  # strided
+        range(120, 301),  # dense
+        range(0, 301, 25),  # weight 0 included
+        range(300, 301),  # one weight
+        # for (2,1,2) the outer rows k = -16 and 17 start at degrees 272 and 289:
+        range(280, 301, 4),  # starts between them
+        range(250, 288, 3),  # ends below 289, so row 17 holds none of the weights
+    ],
+    ids=["strided", "dense", "from-0", "one", "outer-rows", "below-outer-rows"],
+)
+@pytest.mark.parametrize("spec", [SPEC212, ParitySpec(3, 2, 3), ParitySpec(5, 1, 2)], ids=str)
+def test_family_at_requested_weights(spec, weights):
+    full = pd_distribution_family(300, spec)
+    ref = oracles.packed_dp_family(300, spec.N, spec.alpha, spec.beta)
+    family = pd_distribution_family(300, spec, weights)
+    assert [d.n for d in family] == list(weights)
+    # items, not dicts: the key order must match the full family's too
+    assert [list(d.counts.items()) for d in family] == [list(full[s].counts.items()) for s in weights]
+    assert [d.counts for d in family] == [ref[s] for s in weights]
+
+
+def test_family_at_requested_weights_for_every_class_pair():
+    for N in range(2, 7):
+        for a in range(1, N + 1):
+            for b in range(1, N + 1):
+                if a == b:
+                    continue
+                spec = ParitySpec(N, a, b)
+                full = [list(d.counts.items()) for d in pd_distribution_family(60, spec)]
+                assert len(full) == 61
+                for weights in (range(61), range(0, 61, 60), range(7, 61, 3), range(60, 61)):
+                    family = pd_distribution_family(60, spec, weights)
+                    assert [(d.n, list(d.counts.items())) for d in family] == [
+                        (s, full[s]) for s in weights
+                    ], (spec, weights)
+
+
+@pytest.mark.parametrize(
+    "weights", [range(60, 0, -1), range(-1, 60), range(0, 62), range(50, 70, 5)]
+)
+def test_family_refuses_weights_outside_0_to_n_max(weights):
+    with pytest.raises(ValueError, match="weights"):
+        pd_distribution_family(60, SPEC212, weights)
+
+
 def test_engines_at_weights_0_and_1_for_every_class_pair():
     # neither engine has a branch of its own for weight 0, the empty partition
     for N in range(2, 7):
@@ -400,8 +448,13 @@ def test_single_engine_total_and_reflection_large(n):
 
 
 def test_limb_width_headroom():
-    # every count at weight n is at most d(n); the limb keeps 16 bits above it
-    # at every weight up to 20 000 (the engines take no budget, so the module
-    # docstring's bound, not a ceiling, is what keeps larger n exact)
+    # every count at weight n is at most d(n) <= e^{pi sqrt(n/3)}, the module
+    # docstring's bound, so it has at most floor(pi sqrt(n/3) / ln 2) + 1 bits,
+    # and the limb is wider still at every weight up to 20 000 (the engines
+    # take no budget, so the bound, not a ceiling, keeps larger n exact)
+    spare = []
     for n, d in enumerate(_distinct_counts(20_000)):
-        assert d.bit_length() <= _limb_width_bits(n) - 16, n
+        bound_bits = math.floor(math.pi * math.sqrt(n / 3) / math.log(2)) + 1
+        assert d.bit_length() <= bound_bits < _limb_width_bits(n), n
+        spare.append(_limb_width_bits(n) - d.bit_length())
+    assert min(spare) == 5 and spare.index(5) == 6

@@ -32,11 +32,16 @@ def run(*argv):
         (
             ["count", "--n-range", "50:60", "--c", "0"],
             "exact.pd_distribution_family",
-            {"n": 60, "out": 61},
+            {"n": 60, "out": 11},
+        ),
+        (
+            ["count", "--n-range", "50:60:5", "--c", "0"],
+            "exact.pd_distribution_family",
+            {"n": 60, "out": 3},
         ),
         (["count", "--n", "60", "--c", "0"], "exact.pd_distribution", {"n": 60, "out": 1}),
     ],
-    ids=["sweep", "single"],
+    ids=["sweep", "strided-sweep", "single"],
 )
 def test_tracejob_keeps_stdout_and_spans_the_engine(tmp_path, argv, span, attrs):
     spans_path = tmp_path / "spans.json"
