@@ -30,13 +30,14 @@ import cmath
 import itertools
 import math
 from collections import Counter
-from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
-from .exact import ParitySpec, _require_span_one
+from .exact import ParitySpec, _FrozenRecord, _require_span_one
 from .specialfn import _SQRT_PI, _erfc_cf, erfc
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 __all__ = [
     "LogScaledValue",
@@ -71,14 +72,14 @@ _Q3 = 3.0**0.25  # 3^{1/4}
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class LogScaledValue:
+class LogScaledValue(_FrozenRecord):
     """A real number stored as (sign, log|value|); sign 0 means exactly zero.
 
     Multiplication adds logs; addition is a signed log-sum-exp.  Quantities of
     size e^{pi sqrt(n/3)} stay representable for any n of interest.
     """
 
+    __slots__ = ("sign", "log_abs")
     sign: int
     log_abs: float
 
@@ -144,22 +145,21 @@ class LogScaledValue:
         return self.sign * math.exp(self.log_abs - math.log(exact))
 
 
-@dataclass(frozen=True)
-class EstimateTerms:
+class EstimateTerms(_FrozenRecord):
     """Two-term asymptotic estimate: main, second, and their log-space total.
 
     per_tuple lists (residue tuple, main, second) for the tuple-sum route;
     closed-form routes leave it empty.
     """
 
+    __slots__ = ("main", "second", "total", "per_tuple")
     main: LogScaledValue
     second: LogScaledValue
     total: LogScaledValue
     per_tuple: list[tuple[ResidueTuple, LogScaledValue, LogScaledValue]]
 
 
-@dataclass(frozen=True)
-class BoundaryData:
+class BoundaryData(_FrozenRecord):
     """Boundary-fraction bookkeeping for the threshold c0 * n^{1/4}.
 
     partial      is ceil(c0 n^{1/4}) - c0 n^{1/4} in [0, 1);
@@ -168,6 +168,7 @@ class BoundaryData:
                  l_alpha - l_beta (mod N);  kappa = c0 n^{1/4} + partial_star.
     """
 
+    __slots__ = ("partial", "partial_star", "kappa", "ceil_c")
     partial: float
     partial_star: float
     kappa: int
@@ -189,6 +190,8 @@ def nh_value(m: Sequence[int], N: int) -> int:
 
 def H_value(m: Sequence[int], N: int) -> Fraction:
     """H(m) = (1/2) m.m + b.m with b_j = j/N - 1/2, as an exact rational."""
+    from fractions import Fraction
+
     if len(m) != N:
         raise ValueError("m must have length N")
     acc = Fraction(0)

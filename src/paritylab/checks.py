@@ -19,12 +19,11 @@ bit-identical verdict.
 from __future__ import annotations
 
 import cmath
-import json
 import math
-from dataclasses import dataclass
 from typing import Callable, Sequence
 
 from .asymptotics import nr_coefficient, nr_contour_integral
+from .exact import _FrozenRecord
 from .specialfn import euler_maclaurin, lambda_y, s_of_y
 
 __all__ = [
@@ -43,12 +42,12 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(_FrozenRecord):
     """Machine-readable verdict: passed iff `observed` satisfies the check's
     comparison against `bound` (most checks: observed <= bound; the
     negativity check: observed > bound)."""
 
+    __slots__ = ("name", "passed", "observed", "bound", "samples", "notes")
     name: str
     passed: bool
     observed: float
@@ -57,6 +56,8 @@ class CheckResult:
     notes: str
 
     def to_json_line(self) -> str:
+        import json
+
         return json.dumps(
             {
                 "name": self.name,
@@ -220,14 +221,15 @@ def check_nr_expansion(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class EmfProfile:
+class EmfProfile(_FrozenRecord):
     """A named test function with exact derivatives for the expansion check."""
 
+    __slots__ = ("name", "f", "derivative", "a")
     name: str
     f: Callable[[complex], complex]
     derivative: Callable[[int, complex], complex]
-    a: complex = 0.0 + 0.0j
+    a: complex
+    _defaults = {"a": 0.0 + 0.0j}
 
 
 def _gaussian_derivative(order: int, x: complex) -> complex:

@@ -23,16 +23,15 @@ from __future__ import annotations
 
 import argparse
 import importlib
-import json
 import math
 import os
 import sys
-from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING, Callable, Sequence, TextIO
 
 from .exact import (
     ParitySpec,
     PdDistribution,
+    _Record,
     count_at_least_of,
     lattice_span,
     pd_distribution,
@@ -75,10 +74,12 @@ def __getattr__(name: str):
     return globals()[name]
 
 # a weight above this needs explicit opt-in.  Measured end to end, import
-# included, for N = 2: one weight (class-factored engine) takes ~0.2 s at 3000
-# and ~0.35 s at 5000 (about the same for N = 5); a sweep (family engine, time
-# ~n^2.5, larger N is faster) ~1.2 s at 3000 and ~4 s at 5000, with a peak
-# RSS of ~34 MB and ~55 MB.
+# included, for N = 2 (2-CPU VM, CPython 3.11): one weight (class-factored
+# engine) takes ~0.18 s at 3000 and ~0.3 s at 5000 with a peak RSS of ~20 MB
+# (a little less for N = 5); a sweep (family engine, time ~n^2.5, larger N is
+# faster) that prints 11 weights ~0.9 s and 17 MB at 3000 and ~2.5 s and
+# 21 MB at 5000, and one that prints every weight ~1.05 s and 34 MB at 3000
+# and ~3.7 s and 57 MB at 5000.
 # The threshold is the command-line contract, not a cost either engine needs
 HUGE_THRESHOLD = 3000
 # the exact-compute budget: no weight above it runs, whatever the flags
@@ -118,20 +119,28 @@ def _exact_ceiling() -> int:
     return ceiling
 
 
-@dataclass
-class RunConfig:
+class RunConfig(_Record):
     """Resolved run configuration (defaults < config file < flags)."""
 
+    __slots__ = (
+        "spec", "n", "n_range", "c0", "c",
+        "output_format", "output_path", "tolerances", "huge", "only",
+    )
     spec: ParitySpec
-    n: int | None = None
-    n_range: tuple[int, int, int] | None = None
-    c0: float = 0.0
-    c: float = 0.0
-    output_format: str = "csv"
-    output_path: str | None = None
-    tolerances: dict[str, float] = field(default_factory=dict)
-    huge: bool = False
-    only: str | None = None
+    n: int | None
+    n_range: tuple[int, int, int] | None
+    c0: float
+    c: float
+    output_format: str
+    output_path: str | None
+    tolerances: dict[str, float]
+    huge: bool
+    only: str | None
+    _defaults = {
+        "n": None, "n_range": None, "c0": 0.0, "c": 0.0,
+        "output_format": "csv", "output_path": None, "huge": False, "only": None,
+    }
+    _factories = {"tolerances": dict}
 
 
 # ---------------------------------------------------------------------------
@@ -177,8 +186,8 @@ def _build_parser() -> argparse.ArgumentParser:
         const=True,
         default=None,
         help=f"acknowledge a weight above {HUGE_THRESHOLD} "
-        "(for N = 2 a sweep takes ~1.2 s at 3000 and ~4 s at 5000, "
-        "one weight ~0.35 s at 5000)",
+        "(for N = 2 a sweep takes ~1 s at 3000 and 2.5-3.7 s at 5000, "
+        "one weight ~0.3 s at 5000)",
     )
     common.add_argument(
         "--only", default=None, metavar="NAME", help="verify: run checks whose name starts with NAME"
@@ -353,14 +362,16 @@ def _resolve_weights(config: RunConfig, single_only: bool = False) -> range:
         if len(ns) == 1:
             cost = (
                 "One weight runs the class-factored engine, which keeps no "
-                "per-weight state: about 0.35 s and 22 MB peak RSS at n = 5000 for "
+                "per-weight state: about 0.3 s and 20 MB peak RSS at n = 5000 for "
                 "N = 2, import included"
             )
         else:
             cost = (
                 "A sweep runs the family engine, whose time grows like n^2.5: "
-                "about 1.2 s and 34 MB peak RSS at n = 3000 and 4 s and 55 MB "
-                "at n = 5000 for N = 2, import included, less for larger N"
+                "for N = 2, import included, about 0.9 s and 17 MB peak RSS at "
+                "n = 3000 and 2.5 s and 21 MB at n = 5000 when it prints 11 "
+                "weights, and 1.05 s and 34 MB at n = 3000 and 3.7 s and 57 MB "
+                "at n = 5000 when it prints every weight; less for larger N"
             )
         raise UsageError(
             f"n = {top} is above the desk-scale threshold {HUGE_THRESHOLD}; "
@@ -390,6 +401,8 @@ def _write(config: RunConfig, text: str, out: TextIO) -> None:
 
 def _emit(config: RunConfig, header: list[str], rows: list[dict[str, str]], out: TextIO) -> None:
     if config.output_format == "json":
+        import json
+
         text = json.dumps(rows, indent=2) + "\n"
     else:
         lines = [",".join(header)]
@@ -544,7 +557,14 @@ def cmd_verify(config: RunConfig, out: TextIO) -> int:
                 if direction == "greater"
                 else result.observed <= bound
             )
-            result = replace(result, bound=bound, passed=passed)
+            result = checks_mod.CheckResult(
+                name=result.name,
+                passed=passed,
+                observed=result.observed,
+                bound=bound,
+                samples=result.samples,
+                notes=result.notes,
+            )
         adjusted.append(result)
     _write(config, "".join(r.to_json_line() + "\n" for r in adjusted), out)
     return 0 if all(r.passed for r in adjusted) else 1

@@ -87,8 +87,7 @@ import math
 import operator
 import struct
 from collections import Counter
-from collections.abc import Iterator
-from dataclasses import dataclass
+from collections.abc import Callable, Iterator
 
 __all__ = [
     "EnumerationLimitExceeded",
@@ -112,14 +111,98 @@ class EnumerationLimitExceeded(Exception):
 
 
 # ---------------------------------------------------------------------------
+# records
+# ---------------------------------------------------------------------------
+
+
+class _Record:
+    """Base of the package's records: a fixed list of fields, compared by value.
+
+    A record lists its fields, in order, as __slots__.  A trailing field with
+    a default has it in _defaults, or, for a mutable default, a zero-argument
+    factory in _factories that makes a fresh value per record.  The record
+    gets positional and keyword construction, the repr Name(field=value, ...),
+    field-by-field equality with records of the same class, and a call to
+    __post_init__, where it can validate its fields.  A _Record is mutable
+    and unhashable; a _FrozenRecord refuses assignment and hashes its fields.
+    These are the semantics of a frozen or plain dataclass, with no import of
+    the dataclass machinery (which loads inspect, ast and dis, ~12 ms) and no
+    code generated per class at import (~1 ms each).
+    """
+
+    __slots__ = ()
+    _defaults: dict[str, object] = {}
+    _factories: dict[str, Callable[[], object]] = {}
+
+    def __init__(self, *args: object, **kwargs: object) -> None:
+        fields = self.__slots__
+        if len(args) > len(fields):
+            raise TypeError(
+                f"{type(self).__name__}() takes {len(fields)} positional arguments "
+                f"but {len(args)} were given"
+            )
+        init = object.__setattr__
+        for field, value in zip(fields, args):
+            init(self, field, value)
+        for field in fields[len(args) :]:
+            if field in kwargs:
+                init(self, field, kwargs.pop(field))
+            elif field in self._defaults:
+                init(self, field, self._defaults[field])
+            elif field in self._factories:
+                init(self, field, self._factories[field]())
+            else:
+                raise TypeError(f"{type(self).__name__}() missing argument {field!r}")
+        if kwargs:
+            raise TypeError(
+                f"{type(self).__name__}() got unexpected or repeated arguments {sorted(kwargs)}"
+            )
+        self.__post_init__()
+
+    def __post_init__(self) -> None:
+        """Validate the fields; records with constraints override this."""
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, field) for field in self.__slots__)
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{field}={getattr(self, field)!r}" for field in self.__slots__)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __reduce__(self) -> tuple:
+        # rebuild through __init__, which a frozen record's __setattr__ allows
+        return type(self), self._values()
+
+
+class _FrozenRecord(_Record):
+    """A _Record whose fields cannot be reassigned or deleted; it hashes them."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+
+# ---------------------------------------------------------------------------
 # domain types
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Partition:
+class Partition(_FrozenRecord):
     """A partition into distinct parts: strictly decreasing positive parts."""
 
+    __slots__ = ("parts", "n")
     parts: tuple[int, ...]
     n: int
 
@@ -136,10 +219,10 @@ class Partition:
         return cls(tuple(parts), sum(parts))
 
 
-@dataclass(frozen=True)
-class ParitySpec:
+class ParitySpec(_FrozenRecord):
     """Modulus N >= 2 and the two residue classes alpha != beta in 1..N."""
 
+    __slots__ = ("N", "alpha", "beta")
     N: int
     alpha: int
     beta: int
@@ -156,14 +239,14 @@ class ParitySpec:
         return ParitySpec(self.N, self.beta, self.alpha)
 
 
-@dataclass(frozen=True)
-class PdDistribution:
+class PdDistribution(_FrozenRecord):
     """Exact counts f(k) of distinct-part partitions of n by parity difference k.
 
     Only nonzero counts are stored; keys are in ascending k order.  The counts
     always satisfy sum_k f(k) = d(n) and vanish for |k| > m_max(n).
     """
 
+    __slots__ = ("n", "spec", "counts")
     n: int
     spec: ParitySpec
     counts: dict[int, int]

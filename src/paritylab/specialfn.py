@@ -20,10 +20,15 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
-from typing import Callable, Sequence, Union
+from typing import TYPE_CHECKING, Callable, Sequence, Union
+
+from .exact import _Record
+
+if TYPE_CHECKING:
+    # imported where rationals are built: fractions loads decimal, and the
+    # count, dist and bias paths build none
+    from fractions import Fraction
 
 __all__ = [
     "erfc",
@@ -113,6 +118,8 @@ def _bernoulli_table() -> tuple[Fraction, ...]:
     # B_0 = 1 and, from the generating function t e^{xt}/(e^t - 1),
     # B_r = -1/(r+1) * sum_{k<r} C(r+1, k) B_k.  This convention gives
     # B_1 = -1/2.  Built on first use, so import does no rational arithmetic.
+    from fractions import Fraction
+
     table = [Fraction(1)]
     for r in range(1, MAX_BERNOULLI + 1):
         acc = Fraction(0)
@@ -139,6 +146,8 @@ def bernoulli_poly(
         raise ValueError("Bernoulli degree must be >= 0")
     if r > MAX_BERNOULLI:
         raise ValueError(f"Bernoulli coefficient table ends at r = {MAX_BERNOULLI}")
+    from fractions import Fraction
+
     table = _bernoulli_table()
     rational = isinstance(x, (int, Fraction))
     acc: Union[float, Fraction] = Fraction(0) if rational else 0.0
@@ -259,9 +268,17 @@ def lambda_y(y: float, N: int) -> complex:
     """
     if N < 2:
         raise ValueError("N must be >= 2")
+    return N * _lambda_bracket(y)
+
+
+@lru_cache(maxsize=1024)
+def _lambda_bracket(y: float) -> complex:
+    # the bracket of lambda_y, which does not depend on N: the negativity
+    # checks for N = 2..6 and their tail variant evaluate it on one grid, so
+    # each grid point costs one dilogarithm
     u = complex(1.0, y)
     w = cmath.exp(-u * _LOG2)  # 2^{-(1+iy)}
-    return N * (_PI2_6 - _LOG2 * _LOG2 * u * u / 2.0 - polylog(2, w))
+    return _PI2_6 - _LOG2 * _LOG2 * u * u / 2.0 - polylog(2, w)
 
 
 def s_of_y(y: float, N: int) -> float:
@@ -279,14 +296,14 @@ def s_of_y(y: float, N: int) -> float:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class EmfReport:
+class EmfReport(_Record):
     """Itemized two-sided accounting of the Euler-Maclaurin identity.
 
     sum_value = integral_term + boundary_term + sum(correction_terms) + residual
     holds by construction: residual is defined as the difference.
     """
 
+    __slots__ = ("sum_value", "integral_term", "boundary_term", "correction_terms", "residual")
     sum_value: complex
     integral_term: complex
     boundary_term: complex
@@ -297,6 +314,8 @@ class EmfReport:
 def _solve_fd_weights(order: int, offsets: Sequence[int]) -> list[Fraction]:
     # Exact finite-difference weights: solve sum_j w_j o_j^p = p! [p == order]
     # for p = 0..len(offsets)-1 (Vandermonde system, Fraction elimination).
+    from fractions import Fraction
+
     npts = len(offsets)
     rows = [
         [Fraction(o) ** p for o in offsets] + [Fraction(math.factorial(order)) if p == order else Fraction(0)]

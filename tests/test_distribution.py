@@ -1,6 +1,9 @@
 import math
+from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from paritylab import (
@@ -101,10 +104,46 @@ def test_histogram_rejects_n0():
 # ---------------------------------------------------------------------------
 
 
+@settings(max_examples=300, deadline=None)
+@given(b=st.integers(min_value=1, max_value=2**1100), share=st.fractions(0, 1))
+@example(b=2**1001 + 12345, share=Fraction(2**999 + 7, 2**1000))
+@example(b=3**700, share=Fraction(1))
+def test_int_division_rounds_as_fraction(b, share):
+    # histogram_of and bias_cumulative_ratio divide exact counts with `/`:
+    # int / int is correctly rounded, so it equals the rounded Fraction
+    a = b * share.numerator // share.denominator
+    assert 0 <= a <= b
+    assert a / b == float(Fraction(a, b))
+
+
 def test_ks_frozen_small_case():
-    # right-continuous comparison at the jump points, worked out by hand for
-    # the n=8 distribution {-2:1, -1:1, 1:2, 2:2}
-    assert ks_distance_of(pd_distribution(8, SPEC212)) == pytest.approx(0.12170857897883691, abs=1e-12)
+    # mid-step comparison at the jump points of the n=8 distribution
+    # {-2:1, -1:1, 1:2, 2:2}: F_mid is 1/12, 3/12, 6/12, 10/12 there, and the
+    # Gaussian CDF comes from math.erfc, not the package's erfc
+    counts = {-2: 1, -1: 1, 1: 2, 2: 2}
+    assert pd_distribution(8, SPEC212).counts == counts
+    sigma = math.sqrt(2.0 * math.sqrt(3.0) / (math.pi * 2))
+    below, expected = Fraction(0), 0.0
+    for k, v in counts.items():
+        mid = below + Fraction(v, 2 * 6)
+        below += Fraction(v, 6)
+        gauss = 0.5 * math.erfc(-k * 8**-0.25 / (sigma * math.sqrt(2.0)))
+        expected = max(expected, abs(float(mid) - gauss))
+    assert expected == pytest.approx(0.28837524564550354, abs=1e-12)
+    assert ks_distance_of(pd_distribution(8, SPEC212)) == pytest.approx(expected, abs=1e-12)
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [ParitySpec(2, 1, 2), ParitySpec(3, 1, 3), ParitySpec(5, 1, 2), ParitySpec(5, 2, 4), ParitySpec(6, 1, 6)],
+    ids=lambda spec: f"{spec.N}-{spec.alpha}-{spec.beta}",
+)
+@pytest.mark.parametrize("n", [8, 50, 300, 1000])
+def test_ks_is_invariant_under_swapping_the_classes(spec, n):
+    # swapping the classes mirrors the distribution; the one-sided comparison
+    # this replaced read 0.0333 for (2,1,2) and 0.0942 for (2,2,1) at n = 300
+    ks = ks_distance_of(pd_distribution(n, spec))
+    assert ks_distance_of(pd_distribution(n, spec.swapped())) == pytest.approx(ks, abs=1e-12)
 
 
 def test_ks_of_family_matches_public_entry(family2):
@@ -158,12 +197,13 @@ def test_bias_cumulative_ratio_validation():
 @pytest.mark.parametrize(
     "spec, ks, ratio",
     [
-        (ParitySpec(2, 1, 2), 0.033287230412995084, 0.640410544512821),
-        (ParitySpec(3, 1, 3), 0.02677149128719558, 0.7856913086774486),
+        (ParitySpec(2, 1, 2), 0.03297747973591225, 0.640410544512821),
+        (ParitySpec(3, 1, 3), 0.05190648024751354, 0.7856913086774486),
     ],
+    ids=["2-1-2", "3-1-3"],
 )
 def test_ks_and_bias_ratio_on_span_one_pairs(spec, ks, ratio):
-    # the values before the lattice guard existed, at n = 300
+    # at n = 300; the ratios are the values before the lattice guard existed
     dist = pd_distribution(300, spec)
     assert ks_distance_of(dist) == ks
     assert bias_cumulative_ratio(dist, 0.0, 1.0) == ratio

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from paritylab import (
     bernoulli_number,
     bernoulli_poly,
+    default_sy_grid,
     erfc,
     euler_maclaurin,
     lambda_y,
@@ -188,6 +189,18 @@ def test_s_of_y_basics():
     for y in (0.01, 0.5, 3.0, 40.0):
         assert s_of_y(y, 2) < 0
         assert s_of_y(-y, 2) == pytest.approx(s_of_y(y, 2), rel=1e-12)
+
+
+@pytest.mark.parametrize("N", [2, 3, 4, 5, 6])
+def test_s_of_y_is_the_uncached_formula(N):
+    # lambda_y caches its N-free bracket per y; the negativity checks read
+    # s(y) on this grid for every N, so each value must be bit-identical to
+    # the formula evaluated afresh
+    log2, pi2_6 = math.log(2.0), math.pi * math.pi / 6.0
+    for y in default_sy_grid():
+        u = complex(1.0, y)
+        lam = N * (pi2_6 - log2 * log2 * u * u / 2.0 - polylog(2, cmath.exp(-u * log2)))
+        assert s_of_y(y, N) == (lam / u).real - math.pi * math.pi * N / 12.0
 
 
 @pytest.mark.parametrize("N", [2, 4, 6])
