@@ -75,11 +75,11 @@ def __getattr__(name: str):
 
 # a weight above this needs explicit opt-in.  Measured end to end, import
 # included, for N = 2 (2-CPU VM, CPython 3.11): one weight (class-factored
-# engine) takes ~0.18 s at 3000 and ~0.3 s at 5000 with a peak RSS of ~20 MB
+# engine) takes ~0.1 s at 3000 and ~0.2 s at 5000 with a peak RSS of ~20 MB
 # (a little less for N = 5); a sweep (family engine, time ~n^2.5, larger N is
-# faster) that prints 11 weights ~0.9 s and 17 MB at 3000 and ~2.5 s and
-# 21 MB at 5000, and one that prints every weight ~1.05 s and 34 MB at 3000
-# and ~3.7 s and 57 MB at 5000.
+# faster) that prints 11 weights ~0.43 s and 17 MB at 3000 and ~1.6 s and
+# 22 MB at 5000, and one that prints every weight ~0.52 s and 34 MB at 3000
+# and ~1.95 s and 57 MB at 5000.
 # The threshold is the command-line contract, not a cost either engine needs
 HUGE_THRESHOLD = 3000
 # the exact-compute budget: no weight above it runs, whatever the flags
@@ -186,8 +186,8 @@ def _build_parser() -> argparse.ArgumentParser:
         const=True,
         default=None,
         help=f"acknowledge a weight above {HUGE_THRESHOLD} "
-        "(for N = 2 a sweep takes ~1 s at 3000 and 2.5-3.7 s at 5000, "
-        "one weight ~0.3 s at 5000)",
+        "(for N = 2 a sweep takes ~0.5 s at 3000 and 1.6-2 s at 5000, "
+        "one weight ~0.2 s at 5000)",
     )
     common.add_argument(
         "--only", default=None, metavar="NAME", help="verify: run checks whose name starts with NAME"
@@ -362,15 +362,15 @@ def _resolve_weights(config: RunConfig, single_only: bool = False) -> range:
         if len(ns) == 1:
             cost = (
                 "One weight runs the class-factored engine, which keeps no "
-                "per-weight state: about 0.3 s and 20 MB peak RSS at n = 5000 for "
+                "per-weight state: about 0.2 s and 20 MB peak RSS at n = 5000 for "
                 "N = 2, import included"
             )
         else:
             cost = (
                 "A sweep runs the family engine, whose time grows like n^2.5: "
-                "for N = 2, import included, about 0.9 s and 17 MB peak RSS at "
-                "n = 3000 and 2.5 s and 21 MB at n = 5000 when it prints 11 "
-                "weights, and 1.05 s and 34 MB at n = 3000 and 3.7 s and 57 MB "
+                "for N = 2, import included, about 0.43 s and 17 MB peak RSS at "
+                "n = 3000 and 1.6 s and 22 MB at n = 5000 when it prints 11 "
+                "weights, and 0.52 s and 34 MB at n = 3000 and 1.95 s and 57 MB "
                 "at n = 5000 when it prints every weight; less for larger N"
             )
         raise UsageError(

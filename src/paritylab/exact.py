@@ -45,31 +45,43 @@ neutral class.  Each job runs exactly one engine:
 * pd_distribution_family (every weight s <= n_max) makes one packed row
   per difference k, whose s-th limb is f_s(k).  The same closed forms are
   full series truncated at degree n_max, so they carry every weight at once:
-  row k is sum_l C_{k+l} * B_l with C_j = D * A_j, evaluated by Horner's rule
-  over l, where each step is a shift and a division by 1 - q^{Nl}, again by
-  doubling adds.  Each row is unpacked into the per-weight counts as soon
-  as it is made, at the requested weights only.  For N = 2 this takes
-  about 1 s at n_max = 3000 and 4 s at 5000, roughly n^2.5, and larger N
-  is faster.
+  row k >= 0 is sum_l C_{k+l} * B_l with C_j = D * A_j, evaluated by
+  Horner's rule over the beta columns B_l, where each level is a division
+  by 1 - q^{Nl} (again by doubling adds), a shift and the addition of one
+  alpha stream column.  Row k < 0 comes from the reflection
+  f_{alpha,beta}(k) = f_{beta,alpha}(-k), which holds because swapping the
+  two classes and z with 1/z leaves the generating function unchanged: it
+  is row -k of the swapped pair, sum_j C'_{-k+j} * A_j with C'_l = D * B_l,
+  evaluated by Horner's rule over the alpha columns A_j.  So every level of
+  either order adds a column; evaluated over B_l, a row k < 0 would start
+  with -k levels that only divide, at the small moduli N l where a division
+  takes the most doubling steps.  Each row is unpacked into the per-weight
+  counts as soon as it is made, at the requested weights only.  For N = 2
+  this takes about 0.55 s at n_max = 3000, 1.9 s at 5000 and 9 s at
+  10 000, roughly n^2.5, and larger N is faster.
 
 Limbs never overflow.  Every limb at degree s <= n of every packed series
-either engine builds (A_j, E_l, D and every partial sum on the way to them)
-is coefficientwise at most a series that counts partitions of s into
-distinct parts, so it is at most d(s) <= d(n); shifting a column down or
-packing it in q^N moves its limbs but not their values.  So is every limb of
-a single-weight sum of products: limb i of each partial sum is part of
-[q^n] A_j * E_l, one column pair's share of f(j - l) <= d(n), and adding a
-product of nonnegative limbs only raises it towards that share.  So is
-every Horner level of a family row: level l is
-G^(l) = sum_{l' >= l} C_{k+l'} * B_{l'} / B_l, and since
-B_{l'} = B_l * (B_{l'} / B_l), where B_l / q^{low_l} = 1 / prod_{i<=l}
-(1 - q^{Ni}) has constant term 1 and nonnegative coefficients,
-q^{low_l} G^(l) <= sum_{l'} C_{k+l'} B_{l'} (the row) coefficientwise.  A
-level keeps only its limbs of degree <= n - low_l, so each is at most d(n),
-and each partial product of the division that leads to a level is at most
-that level.  And d(n) q^n <= prod_k (1 + q^k) <= exp(pi^2 / (12 t)) at
-q = e^{-t}; t = pi / sqrt(12 n) gives d(n) <= e^{pi sqrt(n/3)}, so d(n) has
-at most floor(pi sqrt(n/3) / ln 2) + 1 bits, one fewer than the W of
+either engine builds (A_j, B_l, E_l, D, C_j, C'_l and every partial sum on
+the way to them) is coefficientwise at most a series that counts partitions
+of s into distinct parts, so it is at most d(s) <= d(n); shifting a column
+down or packing it in q^N moves its limbs but not their values.  So is
+every limb of a single-weight sum of products: limb i of each partial sum
+is part of [q^n] A_j * E_l, one column pair's share of f(j - l) <= d(n),
+and adding a product of nonnegative limbs only raises it towards that
+share.  So is every Horner level of a family row, in either class order.
+Write the row as sum_l Y_{k+l} * X_l with k >= 0, where X_l is the column
+the Horner pass divides by and Y_j the stream column it adds: X = B and
+Y = C for rows k >= 0, X = A and Y = C' for the swapped pair's rows, which
+are the rows -k.  Level l is G^(l) = sum_{l' >= l} Y_{k+l'} * X_{l'} / X_l,
+and since X_{l'} = X_l * (X_{l'} / X_l), where X_l / q^{low_l} =
+1 / prod_{i<=l} (1 - q^{Ni}) has constant term 1 and nonnegative
+coefficients (for either class), q^{low_l} G^(l) <= sum_{l'} Y_{k+l'}
+X_{l'} (the row) coefficientwise.  A level keeps only its limbs of degree
+<= n - low_l, so each is at most d(n), and each partial product of the
+division that leads to a level is at most that level.  And d(n) q^n <=
+prod_k (1 + q^k) <= exp(pi^2 / (12 t)) at q = e^{-t}; t = pi / sqrt(12 n)
+gives d(n) <= e^{pi sqrt(n/3)}, so d(n) has at most
+floor(pi sqrt(n/3) / ln 2) + 1 bits, one fewer than the W of
 _limb_width_bits (in practice d(n) sits about 10 bits below the bound).
 Shifts and carries only move upward, so truncating at degree n drops
 exactly the terms above n.
@@ -389,11 +401,6 @@ def _unpack(packed: int, W: int, top: int) -> list[int]:
     return _limbs(packed.to_bytes((top + 1) * Wb, "little"), Wb)
 
 
-def _low_limbs(x: int, top: int, W: int) -> int:
-    """Limbs 0..top of a packed series."""
-    return x & ((1 << (top + 1) * W) - 1)
-
-
 def _sorted_counts(row: dict[int, int]) -> dict[int, int]:
     return {k: row[k] for k in sorted(row)}
 
@@ -426,16 +433,18 @@ def _class_columns(
         if low > n:
             return
         top = (n - low) // g
-        x = _divide_one_minus(_low_limbs(x, top, W), N * j // g, top, W)
+        mask = (1 << (top + 1) * W) - 1
+        x = _divide_one_minus(x & mask, N * j // g, top, W, mask)
 
 
-def _divide_one_minus(x: int, a: int, top: int, W: int) -> int:
+def _divide_one_minus(x: int, a: int, top: int, W: int, mask: int) -> int:
     """x / (1 - q^a) truncated at degree top, packed.
 
     1 / (1 - q^a) = (1 + q^a)(1 + q^{2a})(1 + q^{4a})..., and the factors with
-    a power above top leave limbs 0..top unchanged: one shifted add per factor.
+    a power above top leave limbs 0..top unchanged: one shifted add per factor,
+    each truncated by mask = (1 << (top + 1) W) - 1, which the caller builds
+    once and which x already fits.
     """
-    mask = (1 << (top + 1) * W) - 1
     while a <= top:
         x = (x + (x << a * W)) & mask
         a *= 2
@@ -533,19 +542,42 @@ def pd_distribution(n: int, spec: ParitySpec) -> PdDistribution:
 def _family_rows(n: int, spec: ParitySpec, W: int) -> Iterator[tuple[int, int, int]]:
     """Yield (k, e, G) for every difference row that reaches weight n, in ascending k.
 
-    The row is the packed series sum_l C_{k+l} * B_l, whose s-th W-bit limb
-    is f_s(k), where C_j = D * A_j is the alpha stream and B_l the beta column
-    (see _class_columns).  G is the row divided by q^e, where e is the lowest
-    degree the row can have, and keeps limbs 0..n - e.  B_l = B_{l-1} *
-    q^{beta + N(l-1)} / (1 - q^{Nl}), so each row is one Horner pass from its
-    last column pair inward: G <- C_{k+l-1} + q^{beta + N(l-1)} * G /
-    (1 - q^{Nl}) for l = l1 .. 1, starting at G = C_{k+l1} and leaving out C_j
-    for j < 0.  Level l ends up multiplied by B_l, whose lowest degree is
-    low_l, so only its limbs of degree <= n - low_l are kept.  G holds each
-    level divided by q^e as well, so the all-zero low limbs are never added.
+    G is the row, the packed series whose s-th W-bit limb is f_s(k), divided
+    by q^e, where e is the row's lowest degree; it keeps limbs 0..n - e.  A
+    row k >= 0 is a row of the pair itself (see _class_rows), a Horner pass
+    over the beta columns.  A row k < 0 is row -k of the swapped pair
+    (N, beta, alpha), by the reflection f_{alpha,beta}(k) = f_{beta,alpha}(-k)
+    (swapping the two classes and z with 1/z leaves the generating function
+    unchanged), so it is a Horner pass over the alpha columns.  The swapped
+    pass runs first, from its last row down, and each pass builds its columns
+    when it starts, so the two never hold their columns at the same time.
+    """
+    D = _neutral_series(n, spec, W)
+    # a generator expression, so no row of the first pass stays referenced
+    # while the second builds its columns
+    yield from ((-k, e, G) for k, e, G in _class_rows(D, spec.swapped(), n, W, descending=True))
+    yield from _class_rows(D, spec, n, W, descending=False)
+
+
+def _class_rows(
+    D: int, spec: ParitySpec, n: int, W: int, descending: bool
+) -> Iterator[tuple[int, int, int]]:
+    """Yield (k, e, G) for the rows k >= 0 of sum_l C_{k+l} * B_l, or for
+    k >= 1 from the last row down when descending.
+
+    C_j = D * A_j is the alpha stream and B_l the beta column of spec (see
+    _class_columns), and G is the row divided by q^e, where e is its lowest
+    degree, keeping limbs 0..n - e.  B_l = B_{l-1} * q^{beta + N(l-1)} /
+    (1 - q^{Nl}), so each row is one Horner pass from its last column pair
+    inward: G <- C_{k+l-1} + q^{beta + N(l-1)} * G / (1 - q^{Nl}) for
+    l = l1 .. 1, starting at G = C_{k+l1}.  Since k >= 0, every level adds a
+    column.  Level l ends up multiplied by B_l, whose lowest degree is low_l,
+    so only its limbs of degree <= n - low_l are kept; the mask that keeps
+    them truncates the level's incoming column and then serves the division
+    that follows.  G holds each level divided by q^e as well, so the all-zero
+    low limbs are never added.
     """
     N, beta = spec.N, spec.beta
-    D = _neutral_series(n, spec, W)
     low_a: list[int] = []  # lowest degree of C_j
     cols: list[int] = []  # C_j / q^{low_a[j]}
     for low, x in _class_columns(D, 1, spec.alpha, N, n, W):
@@ -554,28 +586,26 @@ def _family_rows(n: int, spec: ParitySpec, W: int) -> Iterator[tuple[int, int, i
     low_b = [  # lowest degree of B_l
         low for l in range(m_max(n) + 1) if (low := beta * l + N * l * (l - 1) // 2) <= n
     ]
-    rows_k = range(1 - len(low_b), len(cols))
     low_a.append(n + 1)  # sentinels: no column pair past the last reaches degree n
     low_b.append(n + 1)
-    for k in rows_k:
-        # the column pairs (k + l, l) with a term of degree <= n: l in l0..l1
-        l0 = l1 = max(0, -k)
-        if low_a[k + l0] + low_b[l0] > n:
-            continue
+    for k in range(len(cols) - 1, 0, -1) if descending else range(len(cols)):
+        # the column pairs (k + l, l) with a term of degree <= n: l in 0..l1
+        l1 = 0
         while low_a[k + l1 + 1] + low_b[l1 + 1] <= n:
             l1 += 1
         e = low_a[k + l1]
-        G = _low_limbs(cols[k + l1], n - low_b[l1] - e, W)
+        top = n - low_b[l1] - e
+        mask = (1 << (top + 1) * W) - 1
+        G = cols[k + l1] & mask
         for l in range(l1, 0, -1):
-            G = _divide_one_minus(G, N * l, n - low_b[l] - e, W)
-            e += beta + N * (l - 1)
-            if l > l0:
-                j = k + l - 1
-                G = _low_limbs(cols[j], n - low_b[l - 1] - low_a[j], W) + (
-                    G << (e - low_a[j]) * W
-                )
-                e = low_a[j]
-        if k >= 0:
+            G = _divide_one_minus(G, N * l, top, W, mask)
+            j = k + l - 1
+            shift = e + beta + N * (l - 1) - low_a[j]
+            e = low_a[j]
+            top = n - low_b[l - 1] - e
+            mask = (1 << (top + 1) * W) - 1
+            G = (cols[j] & mask) + (G << shift * W)
+        if not descending:
             cols[k] = 0  # rows above k start at column k + 1
         yield k, e, G
 
@@ -586,14 +616,15 @@ def pd_distribution_family(
     """Distributions at every weight 0..n_max, or at `weights`, from one pass.
 
     Every packed series carries one limb per weight, so the whole family
-    costs one pass at n_max: closed-form neutral and alpha columns, then one
-    Horner pass over them per difference row (about 1 s at n_max = 3000 and
-    4 s at 5000 for N = 2, less for larger N).  Each row is unpacked as soon
-    as it is made, so no more than one packed row is held at a time, and
-    only at the weights asked for: `weights` is a range with step >= 1
-    inside 0..n_max, and the distributions come back in its order.  The
-    default is every weight, so list index = weight.  Sweep commands and
-    the n-by-n acceptance checks use this instead of separate runs.
+    costs one pass at n_max: closed-form neutral and class columns, then one
+    Horner pass over the columns of one class per difference row (about
+    0.55 s at n_max = 3000 and 1.9 s at 5000 for N = 2, less for larger
+    N).  Each row is unpacked as soon as it is made, so no more than one
+    packed row is held at a time, and only at the weights asked for:
+    `weights` is a range with step >= 1 inside 0..n_max, and the
+    distributions come back in its order.  The default is every weight, so
+    list index = weight.  Sweep commands and the n-by-n acceptance checks
+    use this instead of separate runs.
     """
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
@@ -617,6 +648,7 @@ def pd_distribution_family(
         for i, c in enumerate(limbs, i):
             if c:
                 rows[i][k] = c
+        del G, blob  # hold no row while _family_rows builds its next columns
     return [PdDistribution(s, spec, row) for s, row in zip(weights, rows)]
 
 

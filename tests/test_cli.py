@@ -384,8 +384,8 @@ def test_huge_refusal_of_a_sweep_gives_the_family_engine_figures(capsys):
     assert (code, out) == (2, "")
     assert "family engine" in err and "class-factored" not in err
     # measured end-to-end figures, not a formula for a packed state
-    assert "2.5 s and 21 MB at n = 5000 when it prints 11 weights" in err
-    assert "3.7 s and 57 MB at n = 5000 when it prints every weight" in err
+    assert "1.6 s and 22 MB at n = 5000 when it prints 11 weights" in err
+    assert "1.95 s and 57 MB at n = 5000 when it prints every weight" in err
     assert "packed state" not in err
 
 

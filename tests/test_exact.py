@@ -388,6 +388,54 @@ def test_family_matches_packed_dp_at_sweep_top_weights(spec, n_max):
     assert [d.total() for d in family] == oracles.count_distinct_upto(n_max)
 
 
+@pytest.mark.parametrize(
+    "spec, n_max, steps",
+    [
+        (ParitySpec(2, 1, 2), 1230, 5456),
+        (ParitySpec(5, 1, 2), 1430, 2685),
+        (ParitySpec(3, 2, 3), 1230, 3529),
+    ],
+)
+def test_family_pass_doubling_steps(monkeypatch, spec, n_max, steps):
+    # a division by 1 - q^a truncated at limb top adds one shifted copy per
+    # power a, 2a, 4a, ... <= top; every Horner level of a family row adds a
+    # column, so a level that only divides would raise these counts
+    divide = exact._divide_one_minus
+    count = 0
+
+    def counting(x, a, top, W, mask):
+        nonlocal count
+        count += (top // a).bit_length()
+        return divide(x, a, top, W, mask)
+
+    monkeypatch.setattr(exact, "_divide_one_minus", counting)
+    pd_distribution_family(n_max, spec, range(n_max, n_max + 1))
+    assert count == steps
+
+
+def test_family_reflection_at_every_weight():
+    # f_{alpha,beta}(k) = f_{beta,alpha}(-k): the rows k < 0 of one pair are
+    # made by the Horner pass that makes the rows k > 0 of the swapped pair
+    pairs = [
+        (ParitySpec(N, a, b), 60, None)
+        for N in range(2, 7)
+        for a in range(1, N + 1)
+        for b in range(1, N + 1)
+        if a != b
+    ]
+    assert len(pairs) == 70
+    strided = range(3, 301, 7)
+    pairs += [(spec, 300, strided) for spec in (SPEC212, ParitySpec(5, 1, 2), ParitySpec(3, 2, 3))]
+    for spec, n_max, weights in pairs:
+        family = pd_distribution_family(n_max, spec, weights)
+        mirrored = pd_distribution_family(n_max, spec.swapped(), weights)
+        assert [d.n for d in family] == [d.n for d in mirrored] == list(weights or range(n_max + 1))
+        for d, m in zip(family, mirrored):
+            assert list(d.counts) == sorted(d.counts), (spec, d.n)
+            assert list(m.counts) == sorted(m.counts), (spec, d.n)
+            assert m.counts == {-k: v for k, v in d.counts.items()}, (spec, d.n)
+
+
 @pytest.mark.parametrize("n_max", [28, 78])
 def test_family_fits_limbs_with_no_spare_bit(monkeypatch, n_max):
     # d(n_max) fills its whole bytes exactly (8 and 16 bits), so with limbs of
