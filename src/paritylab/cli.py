@@ -1,22 +1,19 @@
 """Command-line front end: exact counts, estimate comparisons, figure data, checks.
 
-Subcommands
-    count    exact tail counts (n, c, count)
-    compare  exact counts vs the two-term estimates, both class orders
-    dist     normalized histogram of one weight vs the limiting Gaussian
-    bias     bias profile of one weight vs the limiting bias density
-    verify   run the verification suite; JSON-line verdicts on stdout
-
-All outputs are deterministic for a fixed configuration: fixed column order,
-repr-formatted floats, full decimal strings for exact counts, line-feed
-terminated rows.  Exit codes: 0 success, 1 check failure, 2 usage error,
-3 budget refusal (exact-compute ceiling).
+One parser takes the command (listed in `_DESCRIPTION`, which --help prints)
+and every option, before or after it.  All outputs are deterministic for a
+fixed configuration: fixed column order, repr-formatted floats, full decimal
+strings for exact counts, line-feed terminated rows.  Exit codes: 0 success,
+1 check failure, 2 usage error, 3 budget refusal (exact-compute ceiling).
 
 Configuration file (--config): flat `key=value` lines, `#` comments; keys are
-the long flag names with underscores (e.g. n_range=100:2000:50), and any other
-key is a usage error.  Flags win over the file; `tol.<check_family>=<bound>`
-overrides a verify bound.  The environment variable PARITY_LAB_CEILING, and
-nothing else, overrides the default exact ceiling (5000).
+the long flag names with underscores.  Each line is read as its flag
+(n_range=100:2000:50 as --n-range=100:2000:50, huge=true as --huge), and the
+file's flags are parsed ahead of the command line's, so a flag wins over the
+file and the file over the built-in defaults.  Any other key is a usage
+error, except `tol.<check_family>=<bound>`, which overrides a verify bound.
+The environment variable PARITY_LAB_CEILING, and nothing else, overrides the
+default exact ceiling (5000).
 """
 
 from __future__ import annotations
@@ -31,7 +28,6 @@ from typing import TYPE_CHECKING, Callable, Sequence, TextIO
 from .exact import (
     ParitySpec,
     PdDistribution,
-    _Record,
     count_at_least_of,
     lattice_span,
     pd_distribution,
@@ -42,7 +38,7 @@ if TYPE_CHECKING:
     from .asymptotics import estimate_thm2, guarded_ceil
     from .distribution import bias_density, bias_profile_of, gaussian_density, histogram_of
 
-__all__ = ["CeilingExceeded", "RunConfig", "UsageError", "main"]
+__all__ = ["CeilingExceeded", "UsageError", "main"]
 
 # the names this module calls from the estimate and distribution layers, and
 # the layer of each.  A subcommand binds them here once its arguments are
@@ -86,11 +82,6 @@ HUGE_THRESHOLD = 3000
 DEFAULT_CEILING = 5000
 CEILING_ENV_VAR = "PARITY_LAB_CEILING"
 OUTPUT_FORMATS = ("csv", "json")
-# the long flag names a config file may set, besides the tol.<check> keys
-CONFIG_KEYS = (
-    "n", "n_range", "N", "alpha", "beta", "c", "c0",
-    "format", "out", "threads", "huge", "only",
-)
 
 
 class UsageError(Exception):
@@ -119,202 +110,155 @@ def _exact_ceiling() -> int:
     return ceiling
 
 
-class RunConfig(_Record):
-    """Resolved run configuration (defaults < config file < flags)."""
-
-    __slots__ = (
-        "spec", "n", "n_range", "c0", "c",
-        "output_format", "output_path", "tolerances", "huge", "only",
-    )
-    spec: ParitySpec
-    n: int | None
-    n_range: tuple[int, int, int] | None
-    c0: float
-    c: float
-    output_format: str
-    output_path: str | None
-    tolerances: dict[str, float]
-    huge: bool
-    only: str | None
-    _defaults = {
-        "n": None, "n_range": None, "c0": 0.0, "c": 0.0,
-        "output_format": "csv", "output_path": None, "huge": False, "only": None,
-    }
-    _factories = {"tolerances": dict}
-
-
 # ---------------------------------------------------------------------------
 # argument and config-file parsing
 # ---------------------------------------------------------------------------
 
+_DESCRIPTION = """\
+exact and asymptotic parity-difference computations for partitions into
+distinct parts
+
+commands:
+  count    exact tail counts (n, c, count)
+  compare  exact counts vs the two-term estimates, both class orders
+  dist     normalized histogram of one weight vs the limiting Gaussian
+  bias     bias profile of one weight vs the limiting bias density:
+           pb_normalized is a mass per level c, density is per unit
+           x = c n^(-1/4), so the two differ by a factor n^(1/4)
+  verify   run the verification suite; JSON-line verdicts on stdout
+"""
+
+
+def _n_range(text: str) -> tuple[int, int, int]:
+    """A:B or A:B:S as (start, end, step); the step defaults to 1."""
+    fields = text.split(":")
+    if len(fields) not in (2, 3):
+        raise argparse.ArgumentTypeError(f"wants A:B or A:B:S, got {text!r}")
+    try:
+        start, end = int(fields[0]), int(fields[1])
+        step = int(fields[2]) if len(fields) == 3 else 1
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"fields must be integers: {text!r}") from None
+    if start > end:
+        raise argparse.ArgumentTypeError(f"start {start} exceeds end {end}")
+    if step < 1:
+        raise argparse.ArgumentTypeError(f"step must be >= 1, got {step}")
+    return start, end, step
+
 
 def _build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--n", type=int, default=None, help="single weight n")
-    common.add_argument(
+    parser = argparse.ArgumentParser(
+        prog="paritylab",
+        description=_DESCRIPTION,
+        formatter_class=argparse.RawDescriptionHelpFormatter,
+    )
+    parser.add_argument("command", choices=_DISPATCH, help="one of the commands above")
+    parser.add_argument("--n", type=int, help="single weight n")
+    parser.add_argument(
         "--n-range",
-        default=None,
+        type=_n_range,
         metavar="A:B:S",
         help="sweep weights A..B inclusive with step S (S defaults to 1)",
     )
-    common.add_argument("--N", type=int, default=None, help="modulus (default 2)")
-    common.add_argument(
-        "--alpha", type=int, default=None, help="first residue class, 1..N (default 1)"
+    parser.add_argument("--N", type=int, default=2, help="modulus (default %(default)s)")
+    parser.add_argument(
+        "--alpha", type=int, default=1, help="first residue class, 1..N (default %(default)s)"
     )
-    common.add_argument(
-        "--beta", type=int, default=None, help="second residue class, 1..N (default 2)"
+    parser.add_argument(
+        "--beta", type=int, default=2, help="second residue class, 1..N (default %(default)s)"
     )
-    common.add_argument(
-        "--c0", type=float, default=None, help="threshold scale: cut at c0 * n^(1/4)"
+    parser.add_argument(
+        "--c0", type=float, default=0.0, help="threshold scale: cut at c0 * n^(1/4)"
     )
-    common.add_argument(
-        "--c", type=float, default=None, help="fixed threshold / bias level"
-    )
-    common.add_argument("--format", choices=OUTPUT_FORMATS, default=None)
-    common.add_argument("--out", default=None, metavar="PATH")
-    common.add_argument(
+    parser.add_argument("--c", type=float, default=0.0, help="fixed threshold / bias level")
+    parser.add_argument("--format", choices=OUTPUT_FORMATS, default="csv")
+    parser.add_argument("--out", metavar="PATH")
+    parser.add_argument(
         "--threads",
         type=int,
-        default=None,
+        default=1,
         metavar="K",
         help="accepted for compatibility (K >= 1) and ignored: rows are computed serially",
     )
-    common.add_argument("--config", default=None, metavar="PATH")
-    common.add_argument(
+    parser.add_argument(
+        "--config", metavar="PATH", help="read key=value lines as flags; flags given here win"
+    )
+    parser.add_argument(
         "--huge",
-        action="store_const",
-        const=True,
-        default=None,
+        action="store_true",
         help=f"acknowledge a weight above {HUGE_THRESHOLD} "
         "(for N = 2 a sweep takes ~0.5 s at 3000 and 1.6-2 s at 5000, "
         "one weight ~0.2 s at 5000)",
     )
-    common.add_argument(
-        "--only", default=None, metavar="NAME", help="verify: run checks whose name starts with NAME"
+    parser.add_argument(
+        "--only", metavar="NAME", help="verify: run checks whose name starts with NAME"
     )
-
-    parser = argparse.ArgumentParser(
-        prog="paritylab",
-        description="exact and asymptotic parity-difference computations "
-        "for partitions into distinct parts",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-    sub.add_parser("count", parents=[common], help="exact tail counts")
-    sub.add_parser("compare", parents=[common], help="exact vs two-term estimates")
-    sub.add_parser("dist", parents=[common], help="normalized histogram data")
-    bias_help = (
-        "bias profile data: pb_normalized is a mass per level c, density is "
-        "per unit x = c n^(-1/4), so the two differ by a factor n^(1/4)"
-    )
-    sub.add_parser("bias", parents=[common], help=bias_help, description=bias_help)
-    sub.add_parser("verify", parents=[common], help="run the verification suite")
     return parser
 
 
-def _read_config_file(path: str) -> dict[str, str]:
-    values: dict[str, str] = {}
+def _read_config(path: str, keys: set[str]) -> tuple[list[str], dict[str, float]]:
+    """The flags the file's `key=value` lines stand for, and its tol. bounds.
+
+    `keys` are the option names a line may set; the value is left for the
+    parser to convert and check, as it would be on the command line.
+    """
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            for lineno, raw in enumerate(fh, start=1):
-                line = raw.strip()
-                if not line or line.startswith("#"):
-                    continue
-                if "=" not in line:
-                    raise UsageError(f"{path}:{lineno}: expected key=value, got {line!r}")
-                key, _, value = line.partition("=")
-                key = key.strip()
-                if key not in CONFIG_KEYS and not key.startswith("tol."):
-                    raise UsageError(f"{path}:{lineno}: unknown config key {key!r}")
-                values[key] = value.strip()
+            lines = fh.readlines()
     except OSError as exc:
         raise UsageError(f"cannot read config file {path}: {exc}") from exc
-    return values
-
-
-def _parse_n_range(text: str) -> tuple[int, int, int]:
-    fields = text.split(":")
-    if len(fields) not in (2, 3):
-        raise UsageError(f"--n-range wants A:B or A:B:S, got {text!r}")
-    try:
-        start, end = int(fields[0]), int(fields[1])
-        step = int(fields[2]) if len(fields) == 3 else 1
-    except ValueError as exc:
-        raise UsageError(f"--n-range fields must be integers: {text!r}") from exc
-    if start > end:
-        raise UsageError(f"--n-range start {start} exceeds end {end}")
-    if step < 1:
-        raise UsageError(f"--n-range step must be >= 1, got {step}")
-    return start, end, step
-
-
-def _parse_bool(text: str) -> bool:
-    lowered = text.lower()
-    if lowered in ("1", "true", "yes", "on"):
-        return True
-    if lowered in ("0", "false", "no", "off"):
-        return False
-    raise UsageError(f"expected a boolean, got {text!r}")
-
-
-def _build_config(args: argparse.Namespace) -> RunConfig:
-    cfg = _read_config_file(args.config) if args.config else {}
-
-    def pick(flag_value, key: str, convert: Callable, default):
-        if flag_value is not None:
-            return flag_value
-        if key in cfg:
-            try:
-                return convert(cfg[key])
-            except (ValueError, TypeError) as exc:
-                raise UsageError(f"config key {key}: {exc}") from exc
-        return default
-
-    n_range_text = pick(args.n_range, "n_range", str, None)
-    tolerances = {}
-    for key, value in cfg.items():
+    flags: list[str] = []
+    tolerances: dict[str, float] = {}
+    for lineno, raw in enumerate(lines, start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        key, equals, value = line.partition("=")
+        key, value = key.strip(), value.strip()
+        where = f"{path}:{lineno}"
+        if not equals:
+            raise UsageError(f"{where}: expected key=value, got {line!r}")
         if key.startswith("tol."):
             try:
                 tolerances[key[4:]] = float(value)
             except ValueError as exc:
-                raise UsageError(f"config key {key}: {exc}") from exc
+                raise UsageError(f"{where}: config key {key}: {exc}") from exc
+        elif key not in keys:
+            raise UsageError(f"{where}: unknown config key {key!r}")
+        elif key == "huge":  # a switch: true gives the flag, false leaves it out
+            if value.lower() in ("1", "true", "yes", "on"):
+                flags.append("--huge")
+            elif value.lower() not in ("0", "false", "no", "off"):
+                raise UsageError(f"{where}: huge wants a boolean, got {value!r}")
+        else:
+            flags.append(f"--{key.replace('_', '-')}={value}")
+    return flags, tolerances
 
+
+def _parse(argv: list[str]) -> argparse.Namespace:
+    """The parsed flags, the config file's under them, plus `spec` and `tolerances`."""
+    parser = _build_parser()
+    args = parser.parse_args(argv)
+    tolerances: dict[str, float] = {}
+    if args.config:
+        keys = vars(args).keys() - {"command", "config"}
+        flags, tolerances = _read_config(args.config, keys)
+        # later flags win, so the command line overrides the file
+        args = parser.parse_args(flags + argv)
+    args.tolerances = tolerances
     try:
-        spec = ParitySpec(
-            N=pick(args.N, "N", int, 2),
-            alpha=pick(args.alpha, "alpha", int, 1),
-            beta=pick(args.beta, "beta", int, 2),
-        )
+        args.spec = ParitySpec(N=args.N, alpha=args.alpha, beta=args.beta)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
-
-    c0 = pick(args.c0, "c0", float, 0.0)
-    c = pick(args.c, "c", float, 0.0)
-    for name, value in (("c0", c0), ("c", c)):
+    for name in ("c0", "c"):
+        value = getattr(args, name)
         if not math.isfinite(value):
             raise UsageError(f"{name} must be finite, got {value!r}")
-    output_format = pick(args.format, "format", str, "csv")
-    if output_format not in OUTPUT_FORMATS:
-        raise UsageError(
-            f"format must be one of {', '.join(OUTPUT_FORMATS)}, got {output_format!r}"
-        )
     # --threads is a validated no-op: rows are cheap sums over one computed
     # distribution, and the interpreter lock serialises them anyway
-    threads = pick(args.threads, "threads", int, 1)
-    if threads < 1:
-        raise UsageError(f"threads must be >= 1, got {threads}")
-
-    return RunConfig(
-        spec=spec,
-        n=pick(args.n, "n", int, None),
-        n_range=_parse_n_range(n_range_text) if n_range_text is not None else None,
-        c0=c0,
-        c=c,
-        output_format=output_format,
-        output_path=pick(args.out, "out", str, None),
-        tolerances=tolerances,
-        huge=bool(pick(args.huge, "huge", _parse_bool, False)),
-        only=pick(args.only, "only", str, None),
-    )
+    if args.threads < 1:
+        raise UsageError(f"threads must be >= 1, got {args.threads}")
+    return args
 
 
 # ---------------------------------------------------------------------------
@@ -333,16 +277,16 @@ def _fmt_threshold(c: float) -> str:
     return repr(float(c))
 
 
-def _resolve_weights(config: RunConfig, single_only: bool = False) -> range:
+def _resolve_weights(args: argparse.Namespace, single_only: bool = False) -> range:
     """The requested weights, ascending: one for --n, the sweep for --n-range."""
-    if config.n is not None and config.n_range is not None:
+    if args.n is not None and args.n_range is not None:
         raise UsageError("give either --n or --n-range, not both")
-    if single_only and config.n is None:
+    if single_only and args.n is None:
         raise UsageError("this subcommand needs a single --n")
-    if config.n is not None:
-        ns = range(config.n, config.n + 1)
-    elif config.n_range is not None:
-        start, end, step = config.n_range
+    if args.n is not None:
+        ns = range(args.n, args.n + 1)
+    elif args.n_range is not None:
+        start, end, step = args.n_range
         ns = range(start, end + 1, step)
     else:
         raise UsageError("give --n or --n-range")
@@ -357,7 +301,7 @@ def _resolve_weights(config: RunConfig, single_only: bool = False) -> range:
             f"n = {top} exceeds the exact-compute ceiling {ceiling} "
             f"(budget; raise {CEILING_ENV_VAR} to lift it)"
         )
-    if top > HUGE_THRESHOLD and not config.huge:
+    if top > HUGE_THRESHOLD and not args.huge:
         # name the engine _distributions_for will run for these weights
         if len(ns) == 1:
             cost = (
@@ -380,27 +324,29 @@ def _resolve_weights(config: RunConfig, single_only: bool = False) -> range:
     return ns
 
 
-def _distributions_for(config: RunConfig, ns: range) -> dict[int, PdDistribution]:
+def _distributions_for(args: argparse.Namespace, ns: range) -> dict[int, PdDistribution]:
     """One family pass when sweeping, unpacked at ns only; a single-weight pass otherwise."""
     if len(ns) == 1:
         n = ns[0]
-        return {n: pd_distribution(n, config.spec)}
-    return dict(zip(ns, pd_distribution_family(ns[-1], config.spec, ns)))
+        return {n: pd_distribution(n, args.spec)}
+    return dict(zip(ns, pd_distribution_family(ns[-1], args.spec, ns)))
 
 
-def _write(config: RunConfig, text: str, out: TextIO) -> None:
-    if not config.output_path:
+def _write(args: argparse.Namespace, text: str, out: TextIO) -> None:
+    if not args.out:
         out.write(text)
         return
     try:
-        with open(config.output_path, "w", encoding="utf-8", newline="") as fh:
+        with open(args.out, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
     except OSError as exc:
-        raise UsageError(f"cannot write --out {config.output_path}: {exc}") from exc
+        raise UsageError(f"cannot write --out {args.out}: {exc}") from exc
 
 
-def _emit(config: RunConfig, header: list[str], rows: list[dict[str, str]], out: TextIO) -> None:
-    if config.output_format == "json":
+def _emit(
+    args: argparse.Namespace, header: list[str], rows: list[dict[str, str]], out: TextIO
+) -> None:
+    if args.format == "json":
         import json
 
         text = json.dumps(rows, indent=2) + "\n"
@@ -408,7 +354,7 @@ def _emit(config: RunConfig, header: list[str], rows: list[dict[str, str]], out:
         lines = [",".join(header)]
         lines.extend(",".join(row[col] for col in header) for row in rows)
         text = "\n".join(lines) + "\n"
-    _write(config, text, out)
+    _write(args, text, out)
 
 
 # ---------------------------------------------------------------------------
@@ -416,42 +362,42 @@ def _emit(config: RunConfig, header: list[str], rows: list[dict[str, str]], out:
 # ---------------------------------------------------------------------------
 
 
-def cmd_count(config: RunConfig, out: TextIO) -> int:
-    ns = _resolve_weights(config)
-    dists = _distributions_for(config, ns)
+def cmd_count(args: argparse.Namespace, out: TextIO) -> int:
+    ns = _resolve_weights(args)
+    dists = _distributions_for(args, ns)
 
     def row(n: int) -> dict[str, str]:
-        count = count_at_least_of(dists[n], config.c)
-        return {"n": str(n), "c": _fmt_threshold(config.c), "count": str(count)}
+        count = count_at_least_of(dists[n], args.c)
+        return {"n": str(n), "c": _fmt_threshold(args.c), "count": str(count)}
 
-    _emit(config, ["n", "c", "count"], [row(n) for n in ns], out)
+    _emit(args, ["n", "c", "count"], [row(n) for n in ns], out)
     return 0
 
 
-def cmd_compare(config: RunConfig, out: TextIO) -> int:
-    if config.spec.N not in (2, 5, 6):
+def cmd_compare(args: argparse.Namespace, out: TextIO) -> int:
+    if args.spec.N not in (2, 5, 6):
         raise UsageError(
             "compare uses the aggregated two-term form, which needs N = 2, 5 or 6"
         )
-    ns = _resolve_weights(config)
+    ns = _resolve_weights(args)
     if any(n < 1 for n in ns):
         raise UsageError("compare needs weights >= 1")
-    if not math.isfinite(config.c0 * max(ns) ** 0.25):
-        raise UsageError(f"c0 * n^(1/4) overflows at c0 = {config.c0!r}")
+    if not math.isfinite(args.c0 * max(ns) ** 0.25):
+        raise UsageError(f"c0 * n^(1/4) overflows at c0 = {args.c0!r}")
     _bind(".asymptotics")
-    dists = _distributions_for(config, ns)
-    swapped = config.spec.swapped()
+    dists = _distributions_for(args, ns)
+    swapped = args.spec.swapped()
 
     def row(n: int) -> dict[str, str]:
         # the exact threshold uses the same near-integer-guarded ceiling as
         # the estimates, so both columns cut at the identical integer
-        c_int, _ = guarded_ceil(config.c0 * n**0.25)
+        c_int, _ = guarded_ceil(args.c0 * n**0.25)
         exact_ab = count_at_least_of(dists[n], c_int)
         # reflected distribution: swapping the classes negates every pd, so
         # the (beta, alpha) tail k >= c is the (alpha, beta) tail k <= -c
         exact_ba = dists[n].total() - count_at_least_of(dists[n], 1 - c_int)
-        est_ab = estimate_thm2(n, config.spec, config.c0)
-        est_ba = estimate_thm2(n, swapped, config.c0)
+        est_ab = estimate_thm2(n, args.spec, args.c0)
+        est_ba = estimate_thm2(n, swapped, args.c0)
 
         def ratio(est, exact: int) -> float:
             return est.ratio_to(exact) if exact > 0 else math.inf
@@ -475,17 +421,17 @@ def cmd_compare(config: RunConfig, out: TextIO) -> int:
         "ratio_two_ab",
         "ratio_two_ba",
     ]
-    _emit(config, header, [row(n) for n in ns], out)
+    _emit(args, header, [row(n) for n in ns], out)
     return 0
 
 
-def cmd_dist(config: RunConfig, out: TextIO) -> int:
-    ns = _resolve_weights(config, single_only=True)
+def cmd_dist(args: argparse.Namespace, out: TextIO) -> int:
+    ns = _resolve_weights(args, single_only=True)
     n = ns[0]
     if n < 1:
         raise UsageError("dist needs n >= 1")
     _bind(".distribution")
-    dist = pd_distribution(n, config.spec)
+    dist = pd_distribution(n, args.spec)
     hist = histogram_of(dist)
     peak = max(d for _, d in hist.points)
     rows = []
@@ -496,15 +442,15 @@ def cmd_dist(config: RunConfig, out: TextIO) -> int:
                 "x": _fmt_float(x),
                 "density_area1": _fmt_float(density),
                 "density_peak1": _fmt_float(density / peak),
-                "gaussian": _fmt_float(gaussian_density(x, config.spec.N)),
+                "gaussian": _fmt_float(gaussian_density(x, args.spec.N)),
             }
         )
-    _emit(config, ["k", "x", "density_area1", "density_peak1", "gaussian"], rows, out)
+    _emit(args, ["k", "x", "density_area1", "density_peak1", "gaussian"], rows, out)
     return 0
 
 
-def cmd_bias(config: RunConfig, out: TextIO) -> int:
-    spec = config.spec
+def cmd_bias(args: argparse.Namespace, out: TextIO) -> int:
+    spec = args.spec
     span = lattice_span(spec)
     if span > 1:
         raise UsageError(
@@ -513,12 +459,12 @@ def cmd_bias(config: RunConfig, out: TextIO) -> int:
             f"every pd at weight n in one residue class mod {span}, where the "
             f"bias law does not hold"
         )
-    ns = _resolve_weights(config, single_only=True)
+    ns = _resolve_weights(args, single_only=True)
     n = ns[0]
     if n < 1:
         raise UsageError("bias needs n >= 1")
     _bind(".distribution")
-    profile = bias_profile_of(pd_distribution(n, config.spec))
+    profile = bias_profile_of(pd_distribution(n, args.spec))
     scale = n**-0.25
     rows = []
     for c, pb in profile.points:
@@ -533,29 +479,39 @@ def cmd_bias(config: RunConfig, out: TextIO) -> int:
                 "x": _fmt_float(x),
                 "pb": str(pb),
                 "pb_normalized": _fmt_float(normalized),
-                "density": _fmt_float(bias_density(x, config.spec.N)),
+                "density": _fmt_float(bias_density(x, args.spec.N)),
             }
         )
-    _emit(config, ["c", "x", "pb", "pb_normalized", "density"], rows, out)
+    _emit(args, ["c", "x", "pb", "pb_normalized", "density"], rows, out)
     return 0
 
 
-def cmd_verify(config: RunConfig, out: TextIO) -> int:
+def cmd_verify(args: argparse.Namespace, out: TextIO) -> int:
     from . import checks as checks_mod
 
-    results = checks_mod.run_suite(only=config.only)
-    if config.only is not None and not results:
-        raise UsageError(f"no check name starts with {config.only!r}")
+    comparisons = checks_mod.CHECK_COMPARISONS
+    for family in args.tolerances:
+        if family not in comparisons:
+            raise UsageError(
+                f"config key tol.{family} names no check family "
+                f"(one of {', '.join(comparisons)})"
+            )
+    results = checks_mod.run_suite(only=args.only)
+    if args.only is not None and not results:
+        raise UsageError(f"no check name starts with {args.only!r}")
+
+    def within(observed: float, bound: float, family: str) -> bool:
+        return observed > bound if comparisons[family] == "greater" else observed <= bound
+
     adjusted = []
     for result in results:
         family = result.name.split("[")[0]
-        if family in config.tolerances:
-            bound = config.tolerances[family]
-            direction = checks_mod.CHECK_COMPARISONS.get(family, "leq")
-            passed = (
-                result.observed > bound
-                if direction == "greater"
-                else result.observed <= bound
+        if family in args.tolerances:
+            bound = args.tolerances[family]
+            # a new bound re-judges the observed value only: a check that
+            # failed on another condition, within its own bound, still fails
+            passed = within(result.observed, bound, family) and (
+                result.passed or not within(result.observed, result.bound, family)
             )
             result = checks_mod.CheckResult(
                 name=result.name,
@@ -566,7 +522,7 @@ def cmd_verify(config: RunConfig, out: TextIO) -> int:
                 notes=result.notes,
             )
         adjusted.append(result)
-    _write(config, "".join(r.to_json_line() + "\n" for r in adjusted), out)
+    _write(args, "".join(r.to_json_line() + "\n" for r in adjusted), out)
     return 0 if all(r.passed for r in adjusted) else 1
 
 
@@ -574,7 +530,7 @@ def cmd_verify(config: RunConfig, out: TextIO) -> int:
 # entry point
 # ---------------------------------------------------------------------------
 
-_DISPATCH: dict[str, Callable[[RunConfig, TextIO], int]] = {
+_DISPATCH: dict[str, Callable[[argparse.Namespace, TextIO], int]] = {
     "count": cmd_count,
     "compare": cmd_compare,
     "dist": cmd_dist,
@@ -584,14 +540,11 @@ _DISPATCH: dict[str, Callable[[RunConfig, TextIO], int]] = {
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:  # argparse reports usage errors with code 2
+        args = _parse(sys.argv[1:] if argv is None else list(argv))
+        return _DISPATCH[args.command](args, sys.stdout)
+    except SystemExit as exc:  # argparse: --help exits 0, a usage error 2
         return int(exc.code or 0)
-    try:
-        config = _build_config(args)
-        return _DISPATCH[args.command](config, sys.stdout)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -99,7 +99,7 @@ import math
 import operator
 import struct
 from collections import Counter
-from collections.abc import Callable, Iterator
+from collections.abc import Iterator
 
 __all__ = [
     "EnumerationLimitExceeded",
@@ -131,11 +131,10 @@ class _Record:
     """Base of the package's records: a fixed list of fields, compared by value.
 
     A record lists its fields, in order, as __slots__.  A trailing field with
-    a default has it in _defaults, or, for a mutable default, a zero-argument
-    factory in _factories that makes a fresh value per record.  The record
-    gets positional and keyword construction, the repr Name(field=value, ...),
-    field-by-field equality with records of the same class, and a call to
-    __post_init__, where it can validate its fields.  A _Record is mutable
+    a default has it in _defaults.  The record gets positional and keyword
+    construction, the repr Name(field=value, ...), field-by-field equality
+    with records of the same class, and a call to __post_init__, where it can
+    validate its fields.  A _Record is mutable
     and unhashable; a _FrozenRecord refuses assignment and hashes its fields.
     These are the semantics of a frozen or plain dataclass, with no import of
     the dataclass machinery (which loads inspect, ast and dis, ~12 ms) and no
@@ -144,7 +143,6 @@ class _Record:
 
     __slots__ = ()
     _defaults: dict[str, object] = {}
-    _factories: dict[str, Callable[[], object]] = {}
 
     def __init__(self, *args: object, **kwargs: object) -> None:
         fields = self.__slots__
@@ -161,8 +159,6 @@ class _Record:
                 init(self, field, kwargs.pop(field))
             elif field in self._defaults:
                 init(self, field, self._defaults[field])
-            elif field in self._factories:
-                init(self, field, self._factories[field]())
             else:
                 raise TypeError(f"{type(self).__name__}() missing argument {field!r}")
         if kwargs:

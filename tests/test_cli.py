@@ -13,8 +13,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import paritylab
+import paritylab.checks as checks
 import paritylab.specialfn as specialfn
-from paritylab.cli import main
+from paritylab.cli import _build_parser, main
 
 SRC = str(Path(paritylab.__file__).resolve().parent.parent)
 
@@ -216,9 +217,104 @@ def test_verify_tolerance_override(capsys, tmp_path):
         assert decoded["passed"] is False
 
 
+def test_verify_loosened_tolerance_passes_a_value_failure(capsys, tmp_path, monkeypatch):
+    real = specialfn.bernoulli_number
+    monkeypatch.setattr(
+        specialfn, "bernoulli_number", lambda r: Fraction(1, 5) if r == 2 else real(r)
+    )
+    cfg = tmp_path / "loose.cfg"
+    cfg.write_text("tol.check_emf=1e300\n")
+    code, out, _ = run_cli(capsys, "verify", "--only", "check_emf", "--config", str(cfg))
+    line = json.loads(out)
+    assert (code, line["passed"], line["bound"]) == (0, True, 1e300)
+
+
+def test_verify_tolerance_keeps_a_failure_on_another_condition(capsys, tmp_path, monkeypatch):
+    # Im Lambda(0) = 1e-6 fails the check's Im <= 1e-12 condition, while the
+    # observed value stays within its bound, so no tol. bound can pass it
+    real = checks.lambda_y
+    monkeypatch.setattr(checks, "lambda_y", lambda y, N: real(y, N) + 1e-6j)
+    code, out, _ = run_cli(capsys, "verify", "--only", "check_lambda_identity")
+    assert code == 1
+    cfg = tmp_path / "same.cfg"
+    cfg.write_text("tol.check_lambda_identity=1e-10\n")
+    code, out, _ = run_cli(
+        capsys, "verify", "--only", "check_lambda_identity", "--config", str(cfg)
+    )
+    assert code == 1
+    assert json.loads(out)["passed"] is False
+
+
+def test_verify_misspelled_tolerance_key_is_usage_error(capsys, tmp_path):
+    cfg = tmp_path / "typo.cfg"
+    cfg.write_text("tol.check_sy_taylr=1e-9\n")
+    code, out, err = run_cli(
+        capsys, "verify", "--only", "check_sy_taylor", "--config", str(cfg)
+    )
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and "tol.check_sy_taylr" in err
+
+
 # ---------------------------------------------------------------------------
 # shared plumbing
 # ---------------------------------------------------------------------------
+
+
+COMMANDS = ("count", "compare", "dist", "bias", "verify")
+
+
+@pytest.mark.parametrize("argv", [("--help",), ("bias", "--help")])
+def test_one_help_lists_every_command(capsys, argv):
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    for command in COMMANDS:
+        assert f"\n  {command} " in out
+    assert (
+        "pb_normalized is a mass per level c, density is per unit x = c n^(-1/4), "
+        "so the two differ by a factor n^(1/4)"
+    ) in " ".join(out.split())
+
+
+def test_options_before_or_after_the_command(capsys):
+    code, out, _ = run_cli(capsys, "--n", "8", "count", "--c", "1")
+    assert (code, out) == (0, "n,c,count\n8,1,4\n")
+
+
+# one invalid value per config key: (key, value, the command line it joins)
+INVALID_VALUES = [
+    ("n", "eight", ("count",)),
+    ("n_range", "10:5", ("count",)),
+    ("N", "two", ("count", "--n", "8")),
+    ("alpha", "1.5", ("count", "--n", "8")),
+    ("beta", "1", ("count", "--n", "8")),
+    ("c0", "inf", ("compare", "--n", "8")),
+    ("c", "nan", ("count", "--n", "8")),
+    ("format", "xml", ("count", "--n", "8")),
+    ("out", "{tmp}/no-such-dir/rows.csv", ("count", "--n", "8")),
+    ("threads", "0", ("count", "--n", "8")),
+    ("huge", "maybe", ("count", "--n", "8")),
+    ("only", "nope", ("verify",)),
+]
+
+
+def test_invalid_values_cover_every_config_key():
+    keys = vars(_build_parser().parse_args(["count"])).keys() - {"command", "config"}
+    assert {key for key, _, _ in INVALID_VALUES} == keys
+
+
+@pytest.mark.parametrize("source", ["config", "flag"])
+@pytest.mark.parametrize("key, value, argv", INVALID_VALUES, ids=[k for k, _, _ in INVALID_VALUES])
+def test_config_value_is_parsed_as_its_flag(capsys, tmp_path, source, key, value, argv):
+    value = value.format(tmp=tmp_path)
+    if source == "config":
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(f"{key}={value}\n")
+        extra = ("--config", str(cfg))
+    else:
+        extra = (f"--{key.replace('_', '-')}={value}",)
+    code, out, err = run_cli(capsys, *argv, *extra)
+    assert (code, out) == (2, "")
+    assert "error: " in err
 
 
 def test_out_file(capsys, tmp_path):

@@ -24,7 +24,6 @@ from paritylab import (
     PdDistribution,
 )
 from paritylab.checks import EmfProfile
-from paritylab.cli import RunConfig
 
 SPEC = ParitySpec(2, 1, 2)
 LSV = LogScaledValue(1, 2.5)
@@ -51,12 +50,6 @@ RECORDS = [
     (BoundaryData, True, (0.25, 1.25, 3, 2), (0.25, 1.25, 3, 3)),
     (CheckResult, True, ("check_x", True, 0.5, 1.0, 3, "notes"), ("check_x", False, 1.5, 1.0, 3, "notes")),
     (EmfProfile, True, ("gaussian", _f, _d, 0.5j), ("gaussian", _f, _d, 0j)),
-    (
-        RunConfig,
-        False,
-        (SPEC, 10, None, 0.5, 1.0, "json", "rows.json", {"check_emf": 1e-9}, True, "check"),
-        (SPEC, 11, None, 0.5, 1.0, "json", "rows.json", {"check_emf": 1e-9}, True, "check"),
-    ),
 ]
 
 
@@ -117,14 +110,6 @@ def test_record_survives_pickle_and_copy(record, values):
 
 
 def test_record_defaults():
-    assert repr(RunConfig(SPEC)) == (
-        "RunConfig(spec=ParitySpec(N=2, alpha=1, beta=2), n=None, n_range=None, "
-        "c0=0.0, c=0.0, output_format='csv', output_path=None, tolerances={}, "
-        "huge=False, only=None)"
-    )
-    first, second = RunConfig(SPEC), RunConfig(spec=SPEC)
-    assert first.tolerances == {} and first.tolerances is not second.tolerances
-    assert RunConfig(SPEC, only="check").only == "check"
     assert EmfProfile("gaussian", _f, _d).a == 0j
 
 
@@ -137,8 +122,8 @@ def test_record_construction_errors():
         ParitySpec(2, 1, 2, N=3)
     with pytest.raises(TypeError, match=r"\['gamma'\]"):
         ParitySpec(2, 1, 2, gamma=3)
-    with pytest.raises(TypeError, match="missing argument 'spec'"):
-        RunConfig(n=3)
+    with pytest.raises(TypeError, match="missing argument 'parts'"):
+        Partition(n=3)
     # validation still runs on keyword construction
     with pytest.raises(ValueError, match="must differ"):
         ParitySpec(N=2, alpha=1, beta=1)
