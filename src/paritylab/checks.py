@@ -58,16 +58,7 @@ class CheckResult(_FrozenRecord):
     def to_json_line(self) -> str:
         import json
 
-        return json.dumps(
-            {
-                "name": self.name,
-                "passed": self.passed,
-                "observed": self.observed,
-                "bound": self.bound,
-                "samples": self.samples,
-                "notes": self.notes,
-            }
-        )
+        return json.dumps(dict(zip(self.__slots__, self._values())))
 
 
 # comparison direction per check family, for tolerance overrides

@@ -343,16 +343,15 @@ def _write(args: argparse.Namespace, text: str, out: TextIO) -> None:
         raise UsageError(f"cannot write --out {args.out}: {exc}") from exc
 
 
-def _emit(
-    args: argparse.Namespace, header: list[str], rows: list[dict[str, str]], out: TextIO
-) -> None:
+def _emit(args: argparse.Namespace, rows: list[dict[str, str]], out: TextIO) -> None:
+    """Write the rows as JSON or as CSV under the first row's keys."""
     if args.format == "json":
         import json
 
         text = json.dumps(rows, indent=2) + "\n"
     else:
-        lines = [",".join(header)]
-        lines.extend(",".join(row[col] for col in header) for row in rows)
+        lines = [",".join(rows[0])]
+        lines.extend(",".join(row.values()) for row in rows)
         text = "\n".join(lines) + "\n"
     _write(args, text, out)
 
@@ -370,7 +369,7 @@ def cmd_count(args: argparse.Namespace, out: TextIO) -> int:
         count = count_at_least_of(dists[n], args.c)
         return {"n": str(n), "c": _fmt_threshold(args.c), "count": str(count)}
 
-    _emit(args, ["n", "c", "count"], [row(n) for n in ns], out)
+    _emit(args, [row(n) for n in ns], out)
     return 0
 
 
@@ -412,16 +411,7 @@ def cmd_compare(args: argparse.Namespace, out: TextIO) -> int:
             "ratio_two_ba": _fmt_float(ratio(est_ba.total, exact_ba)),
         }
 
-    header = [
-        "n",
-        "exact_d_ab",
-        "exact_d_ba",
-        "ratio_main_ab",
-        "ratio_main_ba",
-        "ratio_two_ab",
-        "ratio_two_ba",
-    ]
-    _emit(args, header, [row(n) for n in ns], out)
+    _emit(args, [row(n) for n in ns], out)
     return 0
 
 
@@ -445,7 +435,7 @@ def cmd_dist(args: argparse.Namespace, out: TextIO) -> int:
                 "gaussian": _fmt_float(gaussian_density(x, args.spec.N)),
             }
         )
-    _emit(args, ["k", "x", "density_area1", "density_peak1", "gaussian"], rows, out)
+    _emit(args, rows, out)
     return 0
 
 
@@ -482,7 +472,7 @@ def cmd_bias(args: argparse.Namespace, out: TextIO) -> int:
                 "density": _fmt_float(bias_density(x, args.spec.N)),
             }
         )
-    _emit(args, ["c", "x", "pb", "pb_normalized", "density"], rows, out)
+    _emit(args, rows, out)
     return 0
 
 

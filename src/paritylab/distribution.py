@@ -75,32 +75,40 @@ class BiasProfile(_FrozenRecord):
 # ---------------------------------------------------------------------------
 
 
+def _pi_n(N: int) -> float:
+    """pi N, the scale of every limit law; a ValueError unless N >= 2 and pi N
+    is a finite float."""
+    if N < 2:
+        raise ValueError("N must be >= 2")
+    try:
+        pi_n = math.pi * N
+    except OverflowError:  # N itself is too large for a float
+        pi_n = math.inf
+    if not math.isfinite(pi_n):
+        raise ValueError("N is too large: pi * N overflows a float")
+    return pi_n
+
+
 def gaussian_density(x: float, N: int) -> float:
     """Density of the limiting Gaussian: sqrt(N)/(2*3^{1/4}) e^{-pi N x^2/(4 sqrt 3)}.
 
     Centred, with variance 2 sqrt(3)/(pi N).
     """
-    if N < 2:
-        raise ValueError("N must be >= 2")
-    return math.sqrt(N) / (2.0 * _Q3) * math.exp(-math.pi * N * x * x / (4.0 * _SQRT3))
+    pi_n = _pi_n(N)
+    return math.sqrt(N) / (2.0 * _Q3) * math.exp(-pi_n * x * x / (4.0 * _SQRT3))
 
 
 def bias_density(x: float, N: int) -> float:
     """Limit density of the normalized bias profile on x >= 0:
     (pi N / 2 sqrt 3) x e^{-pi N x^2/(4 sqrt 3)}; integrates to
     e^{-pi N a^2/(4 sqrt 3)} - e^{-pi N b^2/(4 sqrt 3)} over [a, b]."""
-    if N < 2:
-        raise ValueError("N must be >= 2")
-    return (
-        math.pi * N / (2.0 * _SQRT3) * x * math.exp(-math.pi * N * x * x / (4.0 * _SQRT3))
-    )
+    pi_n = _pi_n(N)
+    return pi_n / (2.0 * _SQRT3) * x * math.exp(-pi_n * x * x / (4.0 * _SQRT3))
 
 
 def bias_mode_prediction(N: int) -> float:
     """The x maximizing the bias density: 12^{1/4} / sqrt(pi N)."""
-    if N < 2:
-        raise ValueError("N must be >= 2")
-    return 12.0**0.25 / math.sqrt(math.pi * N)
+    return 12.0**0.25 / math.sqrt(_pi_n(N))
 
 
 # ---------------------------------------------------------------------------
@@ -149,7 +157,7 @@ def ks_distance_of(dist: PdDistribution) -> float:
     total = dist.total()
     scale = dist.n**-0.25
     # Gaussian CDF via erfc: F(x) = erfc(-x sqrt(pi N)/(2*3^{1/4})) / 2
-    gauss_rate = math.sqrt(math.pi * N) / (2.0 * _Q3)
+    gauss_rate = math.sqrt(_pi_n(N)) / (2.0 * _Q3)
     below = 0  # the count at levels below k
     worst = 0.0
     for k in sorted(dist.counts):

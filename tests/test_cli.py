@@ -440,6 +440,17 @@ def test_huge_modulus_at_small_weight_exits_at_once():
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, "n,c,count\n5,0,2\n", "")
 
 
+@pytest.mark.parametrize("N", [10**308, 10**309])
+@pytest.mark.parametrize("command", ["dist", "bias"])
+def test_limit_law_of_a_modulus_whose_pi_n_overflows_is_usage_error(capsys, command, N):
+    code, out, err = run_cli(capsys, command, "--n", "40", "--N", str(N))
+    assert (code, out) == (2, "")
+    assert err == "error: N is too large: pi * N overflows a float\n"
+    # count reads no limit law, so the same modulus runs
+    code, out, err = run_cli(capsys, "count", "--n", "5", "--N", str(N))
+    assert (code, out, err) == (0, "n,c,count\n5,0,2\n", "")
+
+
 def test_ceiling_refusal_names_budget(capsys):
     code, _, err = run_cli(capsys, "count", "--n", "6000", "--c", "0")
     assert code == 3

@@ -65,6 +65,25 @@ def test_bias_mode_prediction_is_the_maximizer():
         assert bias_density(mode, N) > bias_density(mode + h, N)
 
 
+@pytest.mark.parametrize("N", [10**308, 10**309])
+def test_limit_laws_refuse_a_modulus_whose_pi_n_overflows(N):
+    # pi N is inf at 10^308, and 10^309 does not convert to a float at all
+    laws = [
+        lambda: gaussian_density(0.0, N),
+        lambda: bias_density(0.5, N),
+        lambda: bias_mode_prediction(N),
+        lambda: ks_distance_of(pd_distribution(40, ParitySpec(N, 1, 2))),
+    ]
+    for law in laws:
+        with pytest.raises(ValueError, match="pi \\* N overflows"):
+            law()
+    # the largest moduli with a finite pi N still give finite values
+    top = 3 * 10**307
+    assert gaussian_density(0.0, top) == math.sqrt(top) / (2 * 3**0.25)
+    assert bias_density(1e-154, top) > 0.0
+    assert bias_mode_prediction(top) > 0.0
+
+
 # ---------------------------------------------------------------------------
 # histograms
 # ---------------------------------------------------------------------------

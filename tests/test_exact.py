@@ -495,6 +495,35 @@ def test_single_engine_total_and_reflection_large(n):
         ]
 
 
+def _euler_coefficients(n_max):
+    """[q^n] (q;q)_inf for n <= n_max: (-1)^j at n = j(3j-1)/2, else 0 (Euler)."""
+    coefficients = [0] * (n_max + 1)
+    for j in range(-n_max, n_max + 1):
+        if j * (3 * j - 1) // 2 <= n_max:
+            coefficients[j * (3 * j - 1) // 2] = (-1) ** j
+    return coefficients
+
+
+def _signed_sum(dist):
+    return sum(v if k % 2 == 0 else -v for k, v in dist.counts.items())
+
+
+def test_family_at_z_minus_one_is_the_pentagonal_series(family2):
+    # for N = 2 every part is in one class, so z = -1 turns each class factor
+    # into (1 - q^p): sum_k (-1)^k f_n(k) = [q^n] (q;q)_inf, in either order
+    swapped = pd_distribution_family(2000, SPEC212.swapped())
+    for family in (family2, swapped):
+        assert [_signed_sum(d) for d in family] == _euler_coefficients(2000)
+
+
+@pytest.mark.parametrize("spec", [SPEC212, SPEC212.swapped()], ids=str)
+@pytest.mark.parametrize("n, value", [(4030, 1), (5000, 0)])
+def test_single_engine_at_z_minus_one_is_the_pentagonal_series(spec, n, value):
+    # 4030 = j(3j - 1)/2 at j = 52; 5000 is no pentagonal number
+    assert _euler_coefficients(n)[n] == value
+    assert _signed_sum(pd_distribution(n, spec)) == value
+
+
 def test_limb_width_headroom():
     # every count at weight n is at most d(n) <= e^{pi sqrt(n/3)}, the module
     # docstring's bound, so it has at most floor(pi sqrt(n/3) / ln 2) + 1 bits,
