@@ -6,7 +6,6 @@ import pytest
 
 import paritylab.specialfn as specialfn
 from paritylab.checks import (
-    CHECK_COMPARISONS,
     CheckResult,
     check_emf,
     check_lambda_identity,
@@ -65,11 +64,32 @@ def test_json_line_shape():
     assert decoded["observed"] == 0.5
 
 
-def test_comparison_directions_registered():
-    assert CHECK_COMPARISONS["check_sy_negativity"] == "greater"
-    for family in ("check_sy_taylor", "check_nr_expansion", "check_emf",
-                   "check_lambda_identity"):
-        assert CHECK_COMPARISONS[family] == "leq"
+FAMILIES = ("check_sy_negativity", "check_sy_taylor", "check_nr_expansion", "check_emf",
+            "check_lambda_identity")
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_run_suite_bounds_reach_every_check_of_the_family_only(family):
+    defaults = {r.name: r.bound for r in run_suite()}
+    results = run_suite(bounds={family: 0.125})
+    assert [r.name for r in results] == EXPECTED_SUITE
+    for r in results:
+        # the R = 0 check_nr_expansion, whose default is 2 T_{A,B,0}, included
+        expected = 0.125 if r.name.split("[")[0] == family else defaults[r.name]
+        assert r.bound == expected, r.name
+    assert sum(r.name.split("[")[0] == family for r in results) >= 1
+
+
+def test_a_check_judges_its_own_bound():
+    # the same observed value, judged against the bound the check is given
+    taylor = check_sy_taylor(3)
+    assert not check_sy_taylor(3, bound=taylor.observed / 2).passed
+    assert check_sy_taylor(3, bound=taylor.observed).passed
+    negativity = check_sy_negativity(2)
+    assert not check_sy_negativity(2, bound=negativity.observed).passed  # strict >
+    B = math.pi * math.sqrt(2.0 / 12.0)
+    r0 = check_nr_expansion(0.0, B, [400], R=0, bound=1e-300)
+    assert (r0.passed, r0.bound) == (False, 1e-300)
 
 
 # ---------------------------------------------------------------------------

@@ -230,19 +230,32 @@ def test_verify_loosened_tolerance_passes_a_value_failure(capsys, tmp_path, monk
 
 
 def test_verify_tolerance_keeps_a_failure_on_another_condition(capsys, tmp_path, monkeypatch):
-    # Im Lambda(0) = 1e-6 fails the check's Im <= 1e-12 condition, while the
-    # observed value stays within its bound, so no tol. bound can pass it
+    # Im Lambda(0) = 1e-6 fails the check's Im <= 1e-12 condition, which no
+    # tol. bound relaxes: neither the default bound, which the value is within,
+    # nor a bound of 1, which also covers a value off by 1e-6
     real = checks.lambda_y
-    monkeypatch.setattr(checks, "lambda_y", lambda y, N: real(y, N) + 1e-6j)
-    code, out, _ = run_cli(capsys, "verify", "--only", "check_lambda_identity")
-    assert code == 1
-    cfg = tmp_path / "same.cfg"
-    cfg.write_text("tol.check_lambda_identity=1e-10\n")
-    code, out, _ = run_cli(
-        capsys, "verify", "--only", "check_lambda_identity", "--config", str(cfg)
-    )
-    assert code == 1
-    assert json.loads(out)["passed"] is False
+    for shift, bound in ((1e-6j, "1e-10"), (1e-6 + 1e-6j, "1")):
+        monkeypatch.setattr(checks, "lambda_y", lambda y, N: real(y, N) + shift)
+        code, out, _ = run_cli(capsys, "verify", "--only", "check_lambda_identity")
+        assert code == 1
+        cfg = tmp_path / "tol.cfg"
+        cfg.write_text(f"tol.check_lambda_identity={bound}\n")
+        code, out, _ = run_cli(
+            capsys, "verify", "--only", "check_lambda_identity", "--config", str(cfg)
+        )
+        line = json.loads(out)
+        assert (code, line["passed"], line["bound"]) == (1, False, float(bound))
+        assert line["observed"] <= float(bound)
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_verify_non_finite_tolerance_is_usage_error(capsys, tmp_path, value):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(f"tol.check_emf={value}\n")
+    code, out, err = run_cli(capsys, "verify", "--only", "check_emf", "--config", str(cfg))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and "tol.check_emf" in err and "finite" in err
+    assert "Traceback" not in err
 
 
 def test_verify_misspelled_tolerance_key_is_usage_error(capsys, tmp_path):
@@ -449,6 +462,17 @@ def test_limit_law_of_a_modulus_whose_pi_n_overflows_is_usage_error(capsys, comm
     # count reads no limit law, so the same modulus runs
     code, out, err = run_cli(capsys, "count", "--n", "5", "--N", str(N))
     assert (code, out, err) == (0, "n,c,count\n5,0,2\n", "")
+
+
+@pytest.mark.parametrize("command", ["dist", "bias"])
+def test_limit_law_guard_refuses_before_the_exact_pass(capsys, monkeypatch, command):
+    def exact_pass(*args):
+        raise AssertionError("the exact pass ran before the limit-law guard")
+
+    monkeypatch.setattr("paritylab.cli.pd_distribution", exact_pass)
+    code, out, err = run_cli(capsys, command, "--n", "3000", "--N", str(10**309))
+    assert (code, out) == (2, "")
+    assert err == "error: N is too large: pi * N overflows a float\n"
 
 
 def test_ceiling_refusal_names_budget(capsys):
