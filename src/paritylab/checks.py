@@ -173,9 +173,10 @@ def check_nr_expansion(
         residuals.append(abs(q - expansion))
 
     label = f"A={A!r},R={R}"
-    if bound is None:
-        bound = 2.0 * nr_coefficient(A, B, 0) if R == 0 else 3.0
     if R == 0:
+        limit = "2 T_{A,B,0}" if bound is None else repr(bound)
+        if bound is None:
+            bound = 2.0 * nr_coefficient(A, B, 0)
         observed = max(residuals)
         return CheckResult(
             name=f"check_nr_expansion[{label}]",
@@ -183,11 +184,13 @@ def check_nr_expansion(
             observed=observed,
             bound=bound,
             samples=len(ns),
-            notes="degenerate R=0: rescaled integral bounded by 2 T_{A,B,0}",
+            notes=f"degenerate R=0: rescaled integral bounded by {limit}",
         )
 
     if len(ns) < 2:
         raise ValueError("rate checks need at least two n values")
+    if bound is None:
+        bound = 3.0
     worst = 0.0
     fast_decay = False
     for (n1, r1), (n2, r2) in zip(zip(ns, residuals), zip(ns[1:], residuals[1:])):

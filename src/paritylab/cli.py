@@ -28,11 +28,12 @@ from typing import TYPE_CHECKING, Callable, Sequence, TextIO
 
 from .exact import (
     ParitySpec,
-    PdDistribution,
-    count_at_least_of,
     lattice_span,
     pd_distribution,
+    # not called here: perfbench/tracejob.py wraps this name, until ROADMAP item 4
+    # spans the tail engine instead
     pd_distribution_family,
+    tail_counts,
 )
 
 if TYPE_CHECKING:
@@ -71,13 +72,14 @@ def __getattr__(name: str):
     return globals()[name]
 
 # a weight above this needs explicit opt-in.  Measured end to end, import
-# included, for N = 2 (2-CPU VM, CPython 3.11): one weight (class-factored
-# engine) takes ~0.1 s at 3000 and ~0.2 s at 5000 with a peak RSS of ~20 MB
-# (a little less for N = 5); a sweep (family engine, time ~n^2.5, larger N is
-# faster) that prints 11 weights ~0.43 s and 17 MB at 3000 and ~1.6 s and
-# 22 MB at 5000, and one that prints every weight ~0.52 s and 34 MB at 3000
-# and ~1.95 s and 57 MB at 5000.
-# The threshold is the command-line contract, not a cost either engine needs
+# included, for N = 2 (2-CPU VM, CPython 3.11): `count` and `compare` run the
+# tail pass (one Horner pass per distinct threshold, whatever the number of
+# weights printed), ~0.15 s and 18 MB peak RSS at 3000 and ~0.2 s and 25 MB
+# at 5000 for `count`; `compare` adds a second pass and one estimate per
+# printed weight (~0.8 s for every weight up to 5000).  `dist` and `bias` run
+# the class-factored engine at one weight, ~0.12 s and 17 MB at 3000 and
+# ~0.25 s and 20 MB at 5000.
+# The threshold is the command-line contract, not a cost any engine needs
 HUGE_THRESHOLD = 3000
 # the exact-compute budget: no weight above it runs, whatever the flags
 DEFAULT_CEILING = 5000
@@ -188,8 +190,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "--huge",
         action="store_true",
         help=f"acknowledge a weight above {HUGE_THRESHOLD} "
-        "(for N = 2 a sweep takes ~0.5 s at 3000 and 1.6-2 s at 5000, "
-        "one weight ~0.2 s at 5000)",
+        "(for N = 2 at 5000: count ~0.2 s, compare 0.2-0.8 s, dist and bias ~0.25 s)",
     )
     parser.add_argument(
         "--only", metavar="NAME", help="verify: run checks whose name starts with NAME"
@@ -258,8 +259,8 @@ def _parse(argv: list[str]) -> argparse.Namespace:
         value = getattr(args, name)
         if not math.isfinite(value):
             raise UsageError(f"{name} must be finite, got {value!r}")
-    # --threads is a validated no-op: rows are cheap sums over one computed
-    # distribution, and the interpreter lock serialises them anyway
+    # --threads is a validated no-op: rows are cheap reads of one exact pass,
+    # and the interpreter lock serialises them anyway
     if args.threads < 1:
         raise UsageError(f"threads must be >= 1, got {args.threads}")
     return args
@@ -306,34 +307,26 @@ def _resolve_weights(args: argparse.Namespace, single_only: bool = False) -> ran
             f"(budget; raise {CEILING_ENV_VAR} to lift it)"
         )
     if top > HUGE_THRESHOLD and not args.huge:
-        # name the engine _distributions_for will run for these weights
-        if len(ns) == 1:
+        # name the engine the command will run for these weights
+        if single_only:
             cost = (
-                "One weight runs the class-factored engine, which keeps no "
-                "per-weight state: about 0.2 s and 20 MB peak RSS at n = 5000 for "
-                "N = 2, import included"
+                "dist and bias run the class-factored engine at one weight: for "
+                "N = 2, import included, about 0.12 s and 17 MB peak RSS at "
+                "n = 3000 and 0.25 s and 20 MB at n = 5000"
             )
         else:
             cost = (
-                "A sweep runs the family engine, whose time grows like n^2.5: "
-                "for N = 2, import included, about 0.43 s and 17 MB peak RSS at "
-                "n = 3000 and 1.6 s and 22 MB at n = 5000 when it prints 11 "
-                "weights, and 0.52 s and 34 MB at n = 3000 and 1.95 s and 57 MB "
-                "at n = 5000 when it prints every weight; less for larger N"
+                "count and compare run the tail pass, one Horner pass per distinct "
+                "threshold whatever the number of weights printed: for N = 2, "
+                "import included, about 0.15 s and 18 MB peak RSS at n = 3000 and "
+                "0.2 s and 25 MB at n = 5000; compare adds a second pass and one "
+                "estimate per printed weight, about 0.8 s for every weight up to 5000"
             )
         raise UsageError(
             f"n = {top} is above the desk-scale threshold {HUGE_THRESHOLD}; "
             f"pass --huge to acknowledge.  {cost}"
         )
     return ns
-
-
-def _distributions_for(args: argparse.Namespace, ns: range) -> dict[int, PdDistribution]:
-    """One family pass when sweeping, unpacked at ns only; a single-weight pass otherwise."""
-    if len(ns) == 1:
-        n = ns[0]
-        return {n: pd_distribution(n, args.spec)}
-    return dict(zip(ns, pd_distribution_family(ns[-1], args.spec, ns)))
 
 
 def _write(args: argparse.Namespace, text: str, out: TextIO) -> None:
@@ -367,13 +360,9 @@ def _emit(args: argparse.Namespace, rows: list[dict[str, str]], out: TextIO) -> 
 
 def cmd_count(args: argparse.Namespace, out: TextIO) -> int:
     ns = _resolve_weights(args)
-    dists = _distributions_for(args, ns)
-
-    def row(n: int) -> dict[str, str]:
-        count = count_at_least_of(dists[n], args.c)
-        return {"n": str(n), "c": _fmt_threshold(args.c), "count": str(count)}
-
-    _emit(args, [row(n) for n in ns], out)
+    counts = tail_counts(args.spec, ns, [args.c] * len(ns))
+    c = _fmt_threshold(args.c)
+    _emit(args, [{"n": str(n), "c": c, "count": str(v)} for n, v in zip(ns, counts)], out)
     return 0
 
 
@@ -388,17 +377,14 @@ def cmd_compare(args: argparse.Namespace, out: TextIO) -> int:
     if not math.isfinite(args.c0 * max(ns) ** 0.25):
         raise UsageError(f"c0 * n^(1/4) overflows at c0 = {args.c0!r}")
     _bind(".asymptotics")
-    dists = _distributions_for(args, ns)
     swapped = args.spec.swapped()
+    # the exact threshold uses the same near-integer-guarded ceiling as the
+    # estimates, so both columns cut at the identical integer
+    c_ints = [guarded_ceil(args.c0 * n**0.25)[0] for n in ns]
+    tails_ab = tail_counts(args.spec, ns, c_ints)
+    tails_ba = tail_counts(swapped, ns, c_ints)
 
-    def row(n: int) -> dict[str, str]:
-        # the exact threshold uses the same near-integer-guarded ceiling as
-        # the estimates, so both columns cut at the identical integer
-        c_int, _ = guarded_ceil(args.c0 * n**0.25)
-        exact_ab = count_at_least_of(dists[n], c_int)
-        # reflected distribution: swapping the classes negates every pd, so
-        # the (beta, alpha) tail k >= c is the (alpha, beta) tail k <= -c
-        exact_ba = dists[n].total() - count_at_least_of(dists[n], 1 - c_int)
+    def row(n: int, exact_ab: int, exact_ba: int) -> dict[str, str]:
         est_ab = estimate_thm2(n, args.spec, args.c0)
         est_ba = estimate_thm2(n, swapped, args.c0)
 
@@ -415,7 +401,7 @@ def cmd_compare(args: argparse.Namespace, out: TextIO) -> int:
             "ratio_two_ba": _fmt_float(ratio(est_ba.total, exact_ba)),
         }
 
-    _emit(args, [row(n) for n in ns], out)
+    _emit(args, [row(*r) for r in zip(ns, tails_ab, tails_ba)], out)
     return 0
 
 

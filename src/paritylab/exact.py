@@ -11,7 +11,7 @@ n |-> {k: f(k)} where f(k) is the number of distinct-part partitions of n with
 parity difference exactly k, and the derived tail counts
 sum_{k >= ceil(c)} f(k).  No floats enter any computation here.
 
-Both engines keep series packed: one Python integer whose i-th W-bit limb
+Every engine keeps series packed: one Python integer whose i-th W-bit limb
 holds a coefficient, so multiplying by 1 + q^p is one shifted big-integer
 addition, truncated at degree n.  Each class column is kept shifted down by
 its lowest degree, truncated to the limbs that reach degree n, and, when it
@@ -59,17 +59,33 @@ neutral class.  Each job runs exactly one engine:
   counts as soon as it is made, at the requested weights only.  For N = 2
   this takes about 0.55 s at n_max = 3000, 1.9 s at 5000 and 9 s at
   10 000, roughly n^2.5, and larger N is faster.
+* tail_counts (the tails sum_{k >= c} f_s(k) at weights s <= n_max) makes
+  one packed row per distinct threshold c, not every difference row.  With
+  C_j = 0 for j < 0, row k is sum_l C_{k+l} * B_l for every k, negative k
+  included, so the tail is
+
+      T_c = sum_{k >= c} row_k = sum_l B_l * S_{max(c + l, 0)},
+      S_m = sum_{j >= m} C_j:
+
+  the family's Horner pass over the beta columns, with each stream column
+  replaced, in place and from the last down, by its suffix sum.  S_m has
+  C_m's lowest degree and keeps the same limbs, so the shifts and masks
+  carry over, and for c < 0 the first -c levels add S_0, so no d(s) and no
+  swapped pass is needed.  In process, at weights 1200-1430, one tail is
+  5 to 25 times faster than the family pass and its sums, and at one
+  weight it is faster than the class-factored engine (1.5 to 3 times at
+  2000-2340, 3 times at 10 000 for N = 2).
 
 Limbs never overflow.  Every limb at degree s <= n of every packed series
-either engine builds (A_j, B_l, E_l, D, C_j, C'_l and every partial sum on
+an engine builds (A_j, B_l, E_l, D, C_j, C'_l and every partial sum on
 the way to them) is coefficientwise at most a series that counts partitions
 of s into distinct parts, so it is at most d(s) <= d(n); shifting a column
 down or packing it in q^N moves its limbs but not their values.  So is
 every limb of a single-weight sum of products: limb i of each partial sum
 is part of [q^n] A_j * E_l, one column pair's share of f(j - l) <= d(n),
 and adding a product of nonnegative limbs only raises it towards that
-share.  So is every Horner level of a family row, in either class order.
-Write the row as sum_l Y_{k+l} * X_l with k >= 0, where X_l is the column
+share.  So is every Horner level of a family row, in either class order,
+and of a tail row.  Write the row as sum_l Y_{k+l} * X_l with k >= 0, where X_l is the column
 the Horner pass divides by and Y_j the stream column it adds: X = B and
 Y = C for rows k >= 0, X = A and Y = C' for the swapped pair's rows, which
 are the rows -k.  Level l is G^(l) = sum_{l' >= l} Y_{k+l'} * X_{l'} / X_l,
@@ -78,7 +94,12 @@ and since X_{l'} = X_l * (X_{l'} / X_l), where X_l / q^{low_l} =
 coefficients (for either class), q^{low_l} G^(l) <= sum_{l'} Y_{k+l'}
 X_{l'} (the row) coefficientwise.  A level keeps only its limbs of degree
 <= n - low_l, so each is at most d(n), and each partial product of the
-division that leads to a level is at most that level.  And d(n) q^n <=
+division that leads to a level is at most that level.  A tail row is the
+same sum with Y_{k+l'} = S_{max(c+l', 0)}, so each of its levels is at most
+T_c, which is at most sum_k row_k = D * prod_{p == alpha} (1 + q^p) *
+prod_{p == beta} (1 + q^p), the series of all partitions into distinct
+parts; and each suffix sum S_m is at most sum_j C_j, which counts the
+distinct-part partitions with no part in the beta class.  And d(n) q^n <=
 prod_k (1 + q^k) <= exp(pi^2 / (12 t)) at q = e^{-t}; t = pi / sqrt(12 n)
 gives d(n) <= e^{pi sqrt(n/3)}, so d(n) has at most
 floor(pi sqrt(n/3) / ln 2) + 1 bits, one fewer than the W of
@@ -99,7 +120,7 @@ import math
 import operator
 import struct
 from collections import Counter
-from collections.abc import Iterator
+from collections.abc import Iterator, Sequence
 
 __all__ = [
     "EnumerationLimitExceeded",
@@ -112,6 +133,7 @@ __all__ = [
     "pd",
     "pd_distribution",
     "pd_distribution_family",
+    "tail_counts",
     "count_at_least_of",
     "count_distinct",
     "parity_bias",
@@ -358,7 +380,7 @@ def pd(partition: Partition, spec: ParitySpec) -> int:
 
 
 # ---------------------------------------------------------------------------
-# packed series, shared by both engines
+# packed series, shared by every engine
 # ---------------------------------------------------------------------------
 
 
@@ -402,7 +424,7 @@ def _sorted_counts(row: dict[int, int]) -> dict[int, int]:
 
 
 # ---------------------------------------------------------------------------
-# class columns (Euler's identity), shared by both engines
+# class columns (Euler's identity), shared by every engine
 # ---------------------------------------------------------------------------
 
 
@@ -531,6 +553,95 @@ def pd_distribution(n: int, spec: ParitySpec) -> PdDistribution:
 
 
 # ---------------------------------------------------------------------------
+# Horner rows over the beta columns, shared by the family and tail engines
+# ---------------------------------------------------------------------------
+
+
+def _horner_columns(
+    D: int, spec: ParitySpec, n: int, W: int
+) -> tuple[list[int], list[int], list[int]]:
+    """(cols, low_a, low_b): the alpha stream of spec and both classes' lowest degrees.
+
+    cols[j] is C_j / q^{low_a[j]}, where C_j = D * A_j and low_a[j] is the
+    lowest degree of A_j, keeping limbs 0..n - low_a[j] (see _class_columns);
+    low_b[l] is the lowest degree of the beta column B_l.  Both lists of
+    degrees end in the sentinel n + 1: no column pair past the last reaches
+    degree n.
+    """
+    N, beta = spec.N, spec.beta
+    low_a: list[int] = []
+    cols: list[int] = []
+    for low, x in _class_columns(D, 1, spec.alpha, N, n, W):
+        low_a.append(low)
+        cols.append(x)
+    low_b = [low for l in range(m_max(n) + 1) if (low := beta * l + N * l * (l - 1) // 2) <= n]
+    low_a.append(n + 1)
+    low_b.append(n + 1)
+    return cols, low_a, low_b
+
+
+def _horner_row(
+    k: int, cols: list[int], low_a: list[int], low_b: list[int], spec: ParitySpec, n: int, W: int
+) -> tuple[int, int]:
+    """(e, G): sum_l cols[max(k + l, 0)] * B_l over the column pairs that reach
+    degree n, divided by q^e, where e is its lowest degree; G keeps limbs 0..n - e.
+
+    cols, low_a and low_b are as _horner_columns returns them, and
+    low_a[max(k, 0)] <= n.  B_l = B_{l-1} * q^{beta + N(l-1)} / (1 - q^{Nl}),
+    so the sum is one Horner pass from its last column pair inward:
+    G <- cols[j_{l-1}] + q^{beta + N(l-1)} * G / (1 - q^{Nl}) for l = l1 .. 1,
+    starting at G = cols[j_{l1}], where j_l = max(k + l, 0).  Level l ends up
+    multiplied by B_l, whose lowest degree is low_b[l], so only its limbs of
+    degree <= n - low_b[l] are kept; the mask that keeps them truncates the
+    level's incoming column and then serves the division that follows.  G
+    holds each level divided by q^e as well, so the all-zero low limbs are
+    never added.
+    """
+    N, beta = spec.N, spec.beta
+    # the levels whose column pair has a term of degree <= n: l in 0..l1
+    l1 = 0
+    while low_a[max(k + l1 + 1, 0)] + low_b[l1 + 1] <= n:
+        l1 += 1
+    j = max(k + l1, 0)
+    e = low_a[j]
+    top = n - low_b[l1] - e
+    mask = (1 << (top + 1) * W) - 1
+    G = cols[j] & mask
+    for l in range(l1, 0, -1):
+        G = _divide_one_minus(G, N * l, top, W, mask)
+        j = max(k + l - 1, 0)
+        shift = e + beta + N * (l - 1) - low_a[j]
+        e = low_a[j]
+        top = n - low_b[l - 1] - e
+        mask = (1 << (top + 1) * W) - 1
+        G = (cols[j] & mask) + (G << shift * W)
+    return e, G
+
+
+def _limbs_at(G: int, e: int, n: int, W: int, weights: range) -> tuple[int, list[int]]:
+    """(i, limbs): the limbs of the packed series q^e G at weights[i], weights[i + 1], ...
+
+    G keeps limbs 0..n - e, and weights is a range with step >= 1 inside
+    0..n; i is the index of its first weight >= e, below which q^e G is 0.
+    """
+    Wb = W // 8
+    start, step = weights.start, weights.step
+    i = max(0, -((start - e) // step))
+    if i >= len(weights):
+        return i, []
+    lo = (weights[i] - e) * Wb  # its first byte in G; the bytes past G's top limb are 0
+    blob = G.to_bytes((n - e + step) * Wb, "little")
+    return i, _limbs(memoryview(blob)[lo : lo + (len(weights) - i) * step * Wb], Wb, step)
+
+
+def _check_weights(weights: range, n_max: int) -> None:
+    if weights.step < 1 or weights.start < 0 or (weights and weights[-1] > n_max):
+        raise ValueError(
+            f"weights must be a range with step >= 1 inside 0..{n_max}, got {weights!r}"
+        )
+
+
+# ---------------------------------------------------------------------------
 # every weight
 # ---------------------------------------------------------------------------
 
@@ -561,46 +672,13 @@ def _class_rows(
     """Yield (k, e, G) for the rows k >= 0 of sum_l C_{k+l} * B_l, or for
     k >= 1 from the last row down when descending.
 
-    C_j = D * A_j is the alpha stream and B_l the beta column of spec (see
-    _class_columns), and G is the row divided by q^e, where e is its lowest
-    degree, keeping limbs 0..n - e.  B_l = B_{l-1} * q^{beta + N(l-1)} /
-    (1 - q^{Nl}), so each row is one Horner pass from its last column pair
-    inward: G <- C_{k+l-1} + q^{beta + N(l-1)} * G / (1 - q^{Nl}) for
-    l = l1 .. 1, starting at G = C_{k+l1}.  Since k >= 0, every level adds a
-    column.  Level l ends up multiplied by B_l, whose lowest degree is low_l,
-    so only its limbs of degree <= n - low_l are kept; the mask that keeps
-    them truncates the level's incoming column and then serves the division
-    that follows.  G holds each level divided by q^e as well, so the all-zero
-    low limbs are never added.
+    C_j = D * A_j is the alpha stream and B_l the beta column of spec, and
+    each row is one Horner pass (see _horner_row) in which, since k >= 0,
+    every level adds a column.
     """
-    N, beta = spec.N, spec.beta
-    low_a: list[int] = []  # lowest degree of C_j
-    cols: list[int] = []  # C_j / q^{low_a[j]}
-    for low, x in _class_columns(D, 1, spec.alpha, N, n, W):
-        low_a.append(low)
-        cols.append(x)
-    low_b = [  # lowest degree of B_l
-        low for l in range(m_max(n) + 1) if (low := beta * l + N * l * (l - 1) // 2) <= n
-    ]
-    low_a.append(n + 1)  # sentinels: no column pair past the last reaches degree n
-    low_b.append(n + 1)
+    cols, low_a, low_b = _horner_columns(D, spec, n, W)
     for k in range(len(cols) - 1, 0, -1) if descending else range(len(cols)):
-        # the column pairs (k + l, l) with a term of degree <= n: l in 0..l1
-        l1 = 0
-        while low_a[k + l1 + 1] + low_b[l1 + 1] <= n:
-            l1 += 1
-        e = low_a[k + l1]
-        top = n - low_b[l1] - e
-        mask = (1 << (top + 1) * W) - 1
-        G = cols[k + l1] & mask
-        for l in range(l1, 0, -1):
-            G = _divide_one_minus(G, N * l, top, W, mask)
-            j = k + l - 1
-            shift = e + beta + N * (l - 1) - low_a[j]
-            e = low_a[j]
-            top = n - low_b[l - 1] - e
-            mask = (1 << (top + 1) * W) - 1
-            G = (cols[j] & mask) + (G << shift * W)
+        e, G = _horner_row(k, cols, low_a, low_b, spec, n, W)
         if not descending:
             cols[k] = 0  # rows above k start at column k + 1
         yield k, e, G
@@ -619,33 +697,67 @@ def pd_distribution_family(
     packed row is held at a time, and only at the weights asked for:
     `weights` is a range with step >= 1 inside 0..n_max, and the
     distributions come back in its order.  The default is every weight, so
-    list index = weight.  Sweep commands and the n-by-n acceptance checks
-    use this instead of separate runs.
+    list index = weight.
     """
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
     if weights is None:
         weights = range(n_max + 1)
-    elif weights.step < 1 or weights.start < 0 or (weights and weights[-1] > n_max):
-        raise ValueError(
-            f"weights must be a range with step >= 1 inside 0..{n_max}, got {weights!r}"
-        )
+    _check_weights(weights, n_max)
     W = _limb_width_bits(n_max)
-    Wb = W // 8
-    start, step = weights.start, weights.step
     rows: list[dict[int, int]] = [{} for _ in weights]
     for k, e, G in _family_rows(n_max, spec, W):
-        i = max(0, -((start - e) // step))  # index of the first weight >= e
-        if i >= len(rows):
-            continue
-        lo = (weights[i] - e) * Wb  # its first byte in G; the bytes past G's top limb are 0
-        blob = G.to_bytes((n_max - e + step) * Wb, "little")
-        limbs = _limbs(memoryview(blob)[lo : lo + (len(rows) - i) * step * Wb], Wb, step)
+        i, limbs = _limbs_at(G, e, n_max, W, weights)
         for i, c in enumerate(limbs, i):
             if c:
                 rows[i][k] = c
-        del G, blob  # hold no row while _family_rows builds its next columns
+        del G  # hold no row while _family_rows builds its next columns
     return [PdDistribution(s, spec, row) for s, row in zip(weights, rows)]
+
+
+# ---------------------------------------------------------------------------
+# tails
+# ---------------------------------------------------------------------------
+
+
+def tail_counts(spec: ParitySpec, weights: range, thresholds: Sequence[float]) -> list[int]:
+    """sum_{k >= ceil(c_i)} f_{w_i}(k) for each weight w_i and its threshold c_i.
+
+    `weights` is a range with step >= 1 and start >= 0, and `thresholds`
+    holds one finite threshold per weight, in the same order.  One Horner
+    pass at the top weight makes each distinct ceil(c) a packed tail row
+    with one limb per weight (see the module docstring), read only at the
+    weights that carry that threshold; no difference row and no
+    distribution is made.
+    """
+    if len(thresholds) != len(weights):
+        raise ValueError(
+            f"thresholds must hold one value per weight: {len(thresholds)} for {len(weights)}"
+        )
+    if not weights:
+        return []
+    n = weights[-1]
+    _check_weights(weights, n)
+    kcs = [math.ceil(c) for c in thresholds]
+    W = _limb_width_bits(n)
+    cols, low_a, low_b = _horner_columns(_neutral_series(n, spec, W), spec, n, W)
+    # cols[m] <- S_m = sum_{j >= m} C_j, for every m a tail row reads
+    for m in range(len(cols) - 2, max(min(kcs), 0) - 1, -1):
+        # S_{m+1} keeps limbs 0..n - low_a[m+1], so shifted it fits C_m's
+        cols[m] += cols[m + 1] << (low_a[m + 1] - low_a[m]) * W
+    first_last: dict[int, list[int]] = {}  # indices of the first and last weight of each ceil(c)
+    for i, kc in enumerate(kcs):
+        first_last.setdefault(kc, [i, i])[1] = i
+    counts = [0] * len(weights)
+    for kc, (first, last) in first_last.items():
+        if kc >= len(cols):
+            continue  # no column pair from column kc on reaches degree n
+        e, G = _horner_row(kc, cols, low_a, low_b, spec, n, W)
+        i, limbs = _limbs_at(G, e, n, W, weights[first : last + 1])
+        for i, c in enumerate(limbs, first + i):
+            if kcs[i] == kc:
+                counts[i] = c
+    return counts
 
 
 # ---------------------------------------------------------------------------

@@ -121,6 +121,11 @@ def test_nr_expansion_degenerate_r0():
     res = check_nr_expansion(0.0, B, [400], R=0)
     assert res.passed
     assert res.bound > 0.0  # 2 T_{A,B,0}
+    assert res.notes == "degenerate R=0: rescaled integral bounded by 2 T_{A,B,0}"
+    # a given bound replaces 2 T_{A,B,0}, and the note names it
+    res = check_nr_expansion(0.0, B, [400], R=0, bound=5.0)
+    assert (res.passed, res.bound) == (True, 5.0)
+    assert res.notes == "degenerate R=0: rescaled integral bounded by 5.0"
 
 
 def test_nr_expansion_flags_fast_decay():

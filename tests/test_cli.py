@@ -505,19 +505,28 @@ def test_huge_gate(capsys):
 
 
 def test_huge_refusal_of_one_weight_names_the_class_factored_engine(capsys):
-    code, out, err = run_cli(capsys, "count", "--n", "4000", "--c", "0")
+    code, out, err = run_cli(capsys, "dist", "--n", "4000")
     assert (code, out) == (2, "")
-    assert "class-factored engine" in err and "family" not in err
+    assert "class-factored engine" in err and "tail" not in err
+    assert "0.25 s and 20 MB at n = 5000" in err
 
 
-def test_huge_refusal_of_a_sweep_gives_the_family_engine_figures(capsys):
-    code, out, err = run_cli(capsys, "count", "--n-range", "3000:4000:100", "--c", "0")
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("count", "--n-range", "3000:4000:100", "--c", "0"),
+        ("count", "--n", "4000", "--c", "0"),
+        ("compare", "--n-range", "3000:4000", "--c0", "1"),
+    ],
+    ids=["sweep", "one-weight", "compare"],
+)
+def test_huge_refusal_of_count_and_compare_gives_the_tail_pass_figures(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
     assert (code, out) == (2, "")
-    assert "family engine" in err and "class-factored" not in err
-    # measured end-to-end figures, not a formula for a packed state
-    assert "1.6 s and 22 MB at n = 5000 when it prints 11 weights" in err
-    assert "1.95 s and 57 MB at n = 5000 when it prints every weight" in err
-    assert "packed state" not in err
+    assert "tail pass" in err and "class-factored" not in err and "family" not in err
+    # measured end-to-end figures, the same for one weight and for a sweep
+    assert "0.2 s and 25 MB at n = 5000" in err
+    assert "about 0.8 s for every weight up to 5000" in err
 
 
 # ---------------------------------------------------------------------------

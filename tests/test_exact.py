@@ -19,6 +19,7 @@ from paritylab import (
     pd,
     pd_distribution,
     pd_distribution_family,
+    tail_counts,
 )
 from paritylab import exact
 from paritylab.cli import DEFAULT_CEILING
@@ -535,3 +536,104 @@ def test_limb_width_headroom():
         assert d.bit_length() <= bound_bits < _limb_width_bits(n), n
         spare.append(_limb_width_bits(n) - d.bit_length())
     assert min(spare) == 5 and spare.index(5) == 6
+
+
+# ---------------------------------------------------------------------------
+# the tail engine
+# ---------------------------------------------------------------------------
+
+ALL_PAIRS = [
+    ParitySpec(N, a, b) for N in range(2, 7) for a in range(1, N + 1) for b in range(1, N + 1) if a != b
+]
+
+
+def _thresholds(m):
+    # one threshold per ceiling from below -m to above m: the even ceilings
+    # as integers, the odd ones as reals half a unit below them
+    return [k if k % 2 == 0 else k - 0.5 for k in range(-m - 2, m + 3)]
+
+
+@pytest.mark.parametrize("n_max, weights", [(60, range(61)), (300, range(6, 301, 7))])
+def test_tail_counts_match_family_and_packed_dp(n_max, weights):
+    assert len(ALL_PAIRS) == 70
+    for spec in ALL_PAIRS:
+        family = pd_distribution_family(n_max, spec, weights)
+        # so a tail of the family is a tail of the packed DP too
+        packed = oracles.packed_dp_family(n_max, spec.N, spec.alpha, spec.beta)
+        assert [d.counts for d in family] == [packed[s] for s in weights], spec
+        for c in _thresholds(m_max(n_max)):
+            tails = tail_counts(spec, weights, [c] * len(weights))
+            assert tails == [count_at_least_of(d, c) for d in family], (spec, c)
+
+
+def test_tail_counts_with_a_threshold_per_weight():
+    # compare passes ceil(c0 n^{1/4}) per weight; here every weight also gets
+    # a threshold of its own, runs of equal ones and a revisited one included
+    weights = range(2, 301, 3)
+    for spec in (SPEC212, ParitySpec(3, 2, 3), ParitySpec(5, 1, 2), ParitySpec(6, 6, 1)):
+        family = pd_distribution_family(300, spec, weights)
+        for thresholds in (
+            [math.ceil(0.75 * n**0.25) for n in weights],
+            [-math.ceil(0.5 * n**0.25) for n in weights],
+            [(7 * i) % 31 - 15 + (i % 3) / 3 for i in range(len(weights))],
+            [3 if i % 10 < 5 else -1 for i in range(len(weights))],
+        ):
+            tails = tail_counts(spec, weights, thresholds)
+            assert tails == [count_at_least_of(d, c) for d, c in zip(family, thresholds)]
+
+
+def test_tail_counts_of_both_class_orders_add_up_to_d():
+    # pd_{beta,alpha} = -pd_{alpha,beta}, so the tails k >= c and k' >= 1 - c
+    # of the two orders split the partitions of each weight
+    d = _distinct_counts(400)
+    weights = range(401)
+    for spec in ALL_PAIRS[::3]:
+        for c in (-30, -3, -1, 0, 1, 2, 5, 30):
+            tail = tail_counts(spec, weights, [c] * len(weights))
+            mirror = tail_counts(spec.swapped(), weights, [1 - c] * len(weights))
+            assert [a + b for a, b in zip(tail, mirror)] == d, (spec, c)
+
+
+@pytest.mark.parametrize("n_max", [28, 78])
+def test_tail_counts_fit_limbs_with_no_spare_bit(monkeypatch, n_max):
+    # d(n_max) fills its whole bytes exactly (8 and 16 bits), so with limbs of
+    # exactly that width any suffix sum, Horner level or partial division
+    # whose limbs exceeded d(n_max) would carry into the next limb
+    W = _distinct_counts(n_max)[n_max].bit_length()
+    assert W % 8 == 0
+    monkeypatch.setattr(exact, "_limb_width_bits", lambda n: W)
+    weights = range(n_max + 1)
+    for spec in ALL_PAIRS:
+        packed = oracles.packed_dp_family(n_max, spec.N, spec.alpha, spec.beta)
+        for c in range(-m_max(n_max) - 2, m_max(n_max) + 3):
+            tails = tail_counts(spec, weights, [c] * len(weights))
+            assert tails == [sum(v for k, v in row.items() if k >= c) for row in packed]
+
+
+@pytest.mark.parametrize(
+    "spec, n",
+    [
+        (ParitySpec(2, 1, 2), 2000),
+        (ParitySpec(2, 1, 2), 2040),
+        (ParitySpec(5, 1, 2), 2300),
+        (ParitySpec(5, 1, 2), 2340),
+        (ParitySpec(3, 2, 3), 2200),
+        (ParitySpec(3, 2, 3), 2240),
+    ],
+)
+def test_tail_counts_match_single_engine(spec, n):
+    dist = pd_distribution(n, spec)
+    for c in (-50, -2, -1, 0, 0.5, 2, 4, 50):
+        assert tail_counts(spec, range(n, n + 1), [c]) == [count_at_least_of(dist, c)], c
+
+
+def test_tail_counts_edge_cases():
+    assert tail_counts(SPEC212, range(0), []) == []
+    assert tail_counts(SPEC212, range(3), [0, 0, 0]) == [1, 1, 0]  # d(2) = 1, pd(2) = -1
+    assert tail_counts(SPEC212, range(100, 101), [1e300]) == [0]
+    assert tail_counts(SPEC212, range(100, 101), [-1e300]) == [count_distinct(100)]
+    with pytest.raises(ValueError, match="one value per weight"):
+        tail_counts(SPEC212, range(5), [0])
+    for weights in (range(-1, 5), range(5, 0, -1)):
+        with pytest.raises(ValueError, match="weights must be a range"):
+            tail_counts(SPEC212, weights, [0] * len(weights))
