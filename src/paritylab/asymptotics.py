@@ -394,19 +394,15 @@ def estimate_thm1(n: int, spec: ParitySpec, c0: float) -> EstimateTerms:
 
     tuples = residue_tuples(n, N)
     deltas = [(l[spec.alpha - 1] - l[spec.beta - 1] - ceil_c) % N for l in tuples]
-    delta_counts = dict(sorted(Counter(deltas).items()))
+    delta_counts = Counter(deltas)
+    second = {d: _second_term(n, N, bma, partial + d, c0) for d in sorted(delta_counts)}
     main_per_tuple = _log_scaled(1, log_main_per_tuple)
-    per_tuple = [
-        (l, main_per_tuple, _second_term(n, N, bma, partial + d, c0))
-        for l, d in zip(tuples, deltas)
-    ]
+    per_tuple = [(l, main_per_tuple, second[d]) for l, d in zip(tuples, deltas)]
 
     main_total = _log_scaled(1, log_main_per_tuple + math.log(len(tuples)))
     second_total = LogScaledValue.zero()
-    for d in sorted(delta_counts):
-        cnt = delta_counts[d]
-        term = _second_term(n, N, bma, partial + d, c0)
-        second_total = second_total.plus(term.scaled(float(cnt)))
+    for d, term in second.items():
+        second_total = second_total.plus(term.scaled(float(delta_counts[d])))
     return EstimateTerms(
         main_total, second_total, main_total.plus(second_total), per_tuple
     )

@@ -1,11 +1,13 @@
 """Numeric verification suite for the analytic ingredients.
 
-Each check evaluates one analytic fact on a fixed deterministic grid and
-returns a CheckResult verdict; the CLI serializes them as JSON lines.  A check
-is the only judge of its verdict: it compares the observed value with its
-`bound` argument (each check's default is the bound the suite runs against)
-and applies any further condition of its own, which no bound relaxes.  The
-suite covers:
+Each check evaluates one analytic fact on fixed deterministic inputs and
+returns a CheckResult verdict; the CLI serializes them as JSON lines.  A
+check's grid, weights, contour and ray are module constants: its only
+parameters are those default_suite() varies (N, y_min, A, R) and `bound`.  A
+check is the only judge of its verdict: it compares the observed value with
+its `bound` argument (each check's default is the bound the suite runs
+against) and applies any further condition of its own, which no bound
+relaxes.  The suite covers:
 
 * s(y) strict negativity off 0, and its quadratic Taylor coefficient;
 * the Lambda(0) = N pi^2/12 dilogarithm identity;
@@ -24,7 +26,7 @@ from __future__ import annotations
 import cmath
 import math
 from functools import partial
-from typing import Callable, Mapping, Sequence
+from typing import Mapping
 
 from .asymptotics import nr_coefficient, nr_contour_integral
 from .exact import _FrozenRecord
@@ -32,13 +34,11 @@ from .specialfn import euler_maclaurin, lambda_y, s_of_y
 
 __all__ = [
     "CheckResult",
-    "EmfProfile",
     "check_sy_negativity",
     "check_sy_taylor",
     "check_nr_expansion",
     "check_emf",
     "check_lambda_identity",
-    "default_emf_profiles",
     "default_sy_grid",
     "default_suite",
     "run_suite",
@@ -85,24 +85,18 @@ def default_sy_grid() -> list[float]:
 
 
 def check_sy_negativity(
-    N: int,
-    grid: Sequence[float] | None = None,
-    y_min: float | None = None,
-    *,
-    bound: float = 0.0,
+    N: int, y_min: float | None = None, *, bound: float = 0.0
 ) -> CheckResult:
-    """s(y) < 0 at every sampled y != 0.
+    """s(y) < 0 at every y != 0 of default_sy_grid().
 
     observed is the grid minimum of -s(y) (distance from the forbidden sign);
     the check passes when that minimum is strictly above `bound`.  y_min
     restricts the grid to |y| >= y_min (the tail variant: negativity bounded
     away from zero beyond a fixed y0).
     """
-    pts = list(default_sy_grid() if grid is None else grid)
+    pts = default_sy_grid()
     if y_min is not None:
         pts = [y for y in pts if abs(y) >= y_min]
-    if any(y == 0.0 for y in pts):
-        raise ValueError("the negativity grid must exclude y = 0")
     if not pts:
         raise ValueError("empty grid")
     observed = min(-s_of_y(y, N) for y in pts)
@@ -144,31 +138,30 @@ def check_sy_taylor(N: int, *, bound: float = 10.0) -> CheckResult:
 # ---------------------------------------------------------------------------
 
 
-def check_nr_expansion(
-    A: float,
-    B: float,
-    n_list: Sequence[int],
-    R: int,
-    theta: float = 1.0,
-    mesh: int = 4000,
-    *,
-    bound: float | None = None,
-) -> CheckResult:
+# B is N = 2's saddle constant: B^2 = Lambda(0) = N pi^2/12, the smallest N
+# the estimates cover.  Both weights keep the contour inside |z| < 1/2
+# (n > 4 B^2 (1 + theta^2)), where the quadrature equals numpy's bit for bit.
+_NR_B = math.pi * math.sqrt(2.0 / 12.0)
+_NR_WEIGHTS = (400, 1600)
+_NR_THETA = 1.0
+_NR_MESH = 4000
+
+
+def check_nr_expansion(A: float, R: int, *, bound: float | None = None) -> CheckResult:
     """Quadrature minus the R-term expansion decays at the n^{-R/2} rate.
 
-    For consecutive n the residual ratio must be <= bound (default 3) times
-    the generic prediction (n_i/n_{i+1})^{R/2}.  One-sided on purpose:
+    The saddle constant is B = pi sqrt(2/12) and n runs over 400, 1600.  For
+    consecutive n the residual ratio must be <= bound (default 3) times the
+    generic prediction (n_i/n_{i+1})^{R/2}.  One-sided on purpose:
     O(n^{-R/2}) is an upper bound, and when the leading omitted coefficient
     vanishes (A = 1/2, r >= 2) the decay is legitimately much faster -- noted,
     not failed.  R = 0 degrades to a boundedness check |quadrature| <= bound,
     by default 2 T_{A,B,0}.
     """
-    ns = list(n_list)
-    if ns != sorted(ns) or len(ns) < 1 or any(n < 100 for n in ns):
-        raise ValueError("n_list must be increasing with every n >= 100")
+    B, ns = _NR_B, _NR_WEIGHTS
     residuals = []
     for n in ns:
-        q = nr_contour_integral(A, B, n, theta=theta, mesh=mesh)
+        q = nr_contour_integral(A, B, n, theta=_NR_THETA, mesh=_NR_MESH)
         expansion = sum(nr_coefficient(A, B, r) * n ** (-r / 2.0) for r in range(R))
         residuals.append(abs(q - expansion))
 
@@ -187,8 +180,6 @@ def check_nr_expansion(
             notes=f"degenerate R=0: rescaled integral bounded by {limit}",
         )
 
-    if len(ns) < 2:
-        raise ValueError("rate checks need at least two n values")
     if bound is None:
         bound = 3.0
     worst = 0.0
@@ -217,17 +208,6 @@ def check_nr_expansion(
 # ---------------------------------------------------------------------------
 
 
-class EmfProfile(_FrozenRecord):
-    """A named test function with exact derivatives for the expansion check."""
-
-    __slots__ = ("name", "f", "derivative", "a")
-    name: str
-    f: Callable[[complex], complex]
-    derivative: Callable[[int, complex], complex]
-    a: complex
-    _defaults = {"a": 0.0 + 0.0j}
-
-
 def _gaussian_derivative(order: int, x: complex) -> complex:
     # d^m/dx^m e^{-x^2} = (-1)^m H_m(x) e^{-x^2}  (physicists' Hermite)
     h_prev: complex = 1.0 + 0.0j
@@ -239,45 +219,33 @@ def _gaussian_derivative(order: int, x: complex) -> complex:
     return (-1.0) ** order * h_cur * cmath.exp(-x * x)
 
 
-def default_emf_profiles() -> list[EmfProfile]:
-    return [
-        EmfProfile(
-            name="gaussian",
-            f=lambda x: cmath.exp(-x * x),
-            derivative=_gaussian_derivative,
-        ),
-        EmfProfile(
-            name="exponential",
-            f=lambda x: cmath.exp(-x),
-            derivative=lambda order, x: (-1.0) ** order * cmath.exp(-x),
-        ),
-    ]
+# (name, f, exact derivative(order, x)): exact derivatives, because central
+# differences are noise-limited beyond order ~3 and R = 3 needs order 5
+_EMF_PROFILES = (
+    ("gaussian", lambda x: cmath.exp(-x * x), _gaussian_derivative),
+    ("exponential", lambda x: cmath.exp(-x), lambda order, x: (-1.0) ** order * cmath.exp(-x)),
+)
+_EMF_R = 3
+_EMF_Z = 0.1
 
 
-def check_emf(
-    profiles: Sequence[EmfProfile] | None = None,
-    R: int = 3,
-    z: float = 0.1,
-    *,
-    bound: float = 1e-8,
-) -> CheckResult:
-    """Euler-Maclaurin residual <= bound on every profile at z = 0.1, R = 3."""
-    if profiles is None:
-        profiles = default_emf_profiles()
+def check_emf(*, bound: float = 1e-8) -> CheckResult:
+    """Euler-Maclaurin residual <= bound on every profile at z = 0.1, R = 3,
+    summed along the ray from 0."""
     worst = 0.0
     details = []
-    for p in profiles:
-        report = euler_maclaurin(p.f, p.a, z, R, derivative=p.derivative)
+    for name, f, derivative in _EMF_PROFILES:
+        report = euler_maclaurin(f, 0.0, _EMF_Z, _EMF_R, derivative=derivative)
         resid = abs(report.residual)
         worst = max(worst, resid)
-        details.append(f"{p.name}: {resid!r}")
+        details.append(f"{name}: {resid!r}")
     return CheckResult(
         name="check_emf",
         passed=worst <= bound,
         observed=worst,
         bound=bound,
-        samples=len(profiles),
-        notes=f"max |residual| at z={z!r}, R={R}; " + "; ".join(details),
+        samples=len(_EMF_PROFILES),
+        notes=f"max |residual| at z={_EMF_Z!r}, R={_EMF_R}; " + "; ".join(details),
     )
 
 
@@ -311,13 +279,12 @@ def check_lambda_identity(*, bound: float = 1e-10) -> CheckResult:
 def default_suite() -> list[tuple[str, partial[CheckResult]]]:
     """The named checks cmd-verify runs, in fixed order; each is a check with
     its arguments bound, so `check.func.__name__` is its family."""
-    b2, ns = math.pi * math.sqrt(2.0 / 12.0), (400, 1600)
     return [
         *((f"check_sy_negativity[N={N}]", partial(check_sy_negativity, N)) for N in range(2, 7)),
         ("check_sy_negativity[N=2,tail]", partial(check_sy_negativity, 2, y_min=0.5)),
         *((f"check_sy_taylor[N={N}]", partial(check_sy_taylor, N)) for N in range(2, 7)),
         *(
-            (f"check_nr_expansion[A={a!r},R={r}]", partial(check_nr_expansion, a, b2, ns, r))
+            (f"check_nr_expansion[A={a!r},R={r}]", partial(check_nr_expansion, a, r))
             for a, r in ((0.0, 0), (0.0, 1), (0.0, 2), (0.5, 1), (0.5, 2))
         ),
         ("check_emf", partial(check_emf)),
@@ -329,10 +296,21 @@ def run_suite(
     only: str | None = None, bounds: Mapping[str, float] | None = None
 ) -> list[CheckResult]:
     """Run the default suite, optionally restricted to names starting with
-    `only`; `bounds` maps a check family to the bound its checks run against."""
+    `only`; `bounds` maps a check family to the bound its checks run against.
+
+    A `bounds` key that names no check family raises ValueError before any
+    check runs.
+    """
     bounds = bounds or {}
+    suite = default_suite()
+    families = dict.fromkeys(check.func.__name__ for _, check in suite)
+    for family in bounds:
+        if family not in families:
+            raise ValueError(
+                f"tol.{family} names no check family (one of {', '.join(families)})"
+            )
     results = []
-    for name, check in default_suite():
+    for name, check in suite:
         if only is not None and not name.startswith(only):
             continue
         family = check.func.__name__

@@ -152,19 +152,18 @@ class EnumerationLimitExceeded(Exception):
 class _Record:
     """Base of the package's records: a fixed list of fields, compared by value.
 
-    A record lists its fields, in order, as __slots__.  A trailing field with
-    a default has it in _defaults.  The record gets positional and keyword
-    construction, the repr Name(field=value, ...), field-by-field equality
-    with records of the same class, and a call to __post_init__, where it can
-    validate its fields.  A _Record is mutable
-    and unhashable; a _FrozenRecord refuses assignment and hashes its fields.
+    A record lists its fields, in order, as __slots__; every field is
+    required.  The record gets positional and keyword construction, the repr
+    Name(field=value, ...), field-by-field equality with records of the same
+    class, and a call to __post_init__, where it can validate its fields.  A
+    _Record is mutable and unhashable; a _FrozenRecord refuses assignment and
+    hashes its fields.
     These are the semantics of a frozen or plain dataclass, with no import of
     the dataclass machinery (which loads inspect, ast and dis, ~12 ms) and no
     code generated per class at import (~1 ms each).
     """
 
     __slots__ = ()
-    _defaults: dict[str, object] = {}
 
     def __init__(self, *args: object, **kwargs: object) -> None:
         fields = self.__slots__
@@ -177,12 +176,9 @@ class _Record:
         for field, value in zip(fields, args):
             init(self, field, value)
         for field in fields[len(args) :]:
-            if field in kwargs:
-                init(self, field, kwargs.pop(field))
-            elif field in self._defaults:
-                init(self, field, self._defaults[field])
-            else:
+            if field not in kwargs:
                 raise TypeError(f"{type(self).__name__}() missing argument {field!r}")
+            init(self, field, kwargs.pop(field))
         if kwargs:
             raise TypeError(
                 f"{type(self).__name__}() got unexpected or repeated arguments {sorted(kwargs)}"

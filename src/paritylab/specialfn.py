@@ -353,7 +353,6 @@ def euler_maclaurin(
     z: complex,
     R: int,
     derivative: Callable[[int, complex], complex] | None = None,
-    h: float | None = None,
 ) -> EmfReport:
     """Evaluate sum_{n>=0} f(nz + a) against its Euler-Maclaurin expansion.
 
@@ -417,15 +416,13 @@ def euler_maclaurin(
 
     boundary = complex(f(a)) / 2.0
 
-    if h is None:
-        h = 1e-4 * abs(z)
     corrections: list[complex] = []
     for r in range(1, R + 1):
         order = 2 * r - 1
         if derivative is not None:
             deriv = complex(derivative(order, a))
         else:
-            deriv = _central_difference(f, order, a, h)
+            deriv = _central_difference(f, order, a, 1e-4 * abs(z))
         coeff = float(bernoulli_number(2 * r)) / math.factorial(2 * r)
         corrections.append(-coeff * z ** (2 * r - 1) * deriv)
 

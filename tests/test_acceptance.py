@@ -284,7 +284,7 @@ def test_criterion_10_contour_expansion():
     B = math.pi * math.sqrt(2.0 / 12.0)
     for A in (0.0, 0.5):
         for R in (1, 2):
-            res = check_nr_expansion(A, B, [400, 1600], R=R)
+            res = check_nr_expansion(A, R)
             assert res.passed, res.notes
     assert nr_coefficient(0.0, B, 0) == pytest.approx(
         2.0**0.25 / (2.0 * 12.0**0.25), rel=1e-12

@@ -1,9 +1,9 @@
 import json
-import math
 from fractions import Fraction
 
 import pytest
 
+import paritylab.checks as checks
 import paritylab.specialfn as specialfn
 from paritylab.checks import (
     CheckResult,
@@ -80,6 +80,15 @@ def test_run_suite_bounds_reach_every_check_of_the_family_only(family):
     assert sum(r.name.split("[")[0] == family for r in results) >= 1
 
 
+def test_run_suite_rejects_a_bound_for_no_family(monkeypatch):
+    ran = []
+    monkeypatch.setattr(checks, "euler_maclaurin", lambda *a, **kw: ran.append(a))
+    with pytest.raises(ValueError, match=r"tol\.check_emff names no check family") as exc:
+        run_suite(only="check_emf", bounds={"check_emf": 1.0, "check_emff": 1.0})
+    assert all(family in str(exc.value) for family in FAMILIES)
+    assert ran == []
+
+
 def test_a_check_judges_its_own_bound():
     # the same observed value, judged against the bound the check is given
     taylor = check_sy_taylor(3)
@@ -87,8 +96,7 @@ def test_a_check_judges_its_own_bound():
     assert check_sy_taylor(3, bound=taylor.observed).passed
     negativity = check_sy_negativity(2)
     assert not check_sy_negativity(2, bound=negativity.observed).passed  # strict >
-    B = math.pi * math.sqrt(2.0 / 12.0)
-    r0 = check_nr_expansion(0.0, B, [400], R=0, bound=1e-300)
+    r0 = check_nr_expansion(0.0, 0, bound=1e-300)
     assert (r0.passed, r0.bound) == (False, 1e-300)
 
 
@@ -104,10 +112,8 @@ def test_sy_negativity_details():
     tail = check_sy_negativity(2, y_min=0.5)
     assert tail.name == "check_sy_negativity[N=2,tail]"
     assert tail.passed
-    with pytest.raises(ValueError):
-        check_sy_negativity(2, grid=[0.0, 1.0])
-    with pytest.raises(ValueError):
-        check_sy_negativity(2, grid=[1.0], y_min=5.0)
+    with pytest.raises(ValueError, match="empty grid"):
+        check_sy_negativity(2, y_min=100.0)
 
 
 def test_sy_taylor_bound():
@@ -117,30 +123,20 @@ def test_sy_taylor_bound():
 
 
 def test_nr_expansion_degenerate_r0():
-    B = math.pi * math.sqrt(2.0 / 12.0)
-    res = check_nr_expansion(0.0, B, [400], R=0)
+    res = check_nr_expansion(0.0, 0)
     assert res.passed
     assert res.bound > 0.0  # 2 T_{A,B,0}
     assert res.notes == "degenerate R=0: rescaled integral bounded by 2 T_{A,B,0}"
     # a given bound replaces 2 T_{A,B,0}, and the note names it
-    res = check_nr_expansion(0.0, B, [400], R=0, bound=5.0)
+    res = check_nr_expansion(0.0, 0, bound=5.0)
     assert (res.passed, res.bound) == (True, 5.0)
     assert res.notes == "degenerate R=0: rescaled integral bounded by 5.0"
 
 
 def test_nr_expansion_flags_fast_decay():
-    B = math.pi * math.sqrt(2.0 / 12.0)
-    res = check_nr_expansion(0.5, B, [400, 1600], R=2)
+    res = check_nr_expansion(0.5, 2)
     assert res.passed
     assert "faster than the generic rate" in res.notes
-
-
-def test_nr_expansion_validation():
-    B = math.pi * math.sqrt(2.0 / 12.0)
-    with pytest.raises(ValueError):
-        check_nr_expansion(0.0, B, [1600, 400], R=1)
-    with pytest.raises(ValueError):
-        check_nr_expansion(0.0, B, [50, 400], R=1)
 
 
 def test_emf_check_green():

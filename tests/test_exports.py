@@ -33,7 +33,6 @@ def test_package_namespace_is_the_union_of_the_layers_all():
     assert paritylab.__all__ == ["__version__", *union]
     assert len(set(union)) == len(union)
     assert set(dir(paritylab)) >= set(paritylab.__all__)
-    assert paritylab.EmfProfile is importlib.import_module("paritylab.checks").EmfProfile
 
 
 LOOKUP = """

@@ -12,11 +12,8 @@ import contextlib
 import importlib
 import io
 import json
-import platform
 import traceback
 from pathlib import Path
-
-import pytest
 
 from paritylab import cli
 
@@ -24,10 +21,6 @@ PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 REFERENCE = json.loads((PERFBENCH / "reference.json").read_text(encoding="utf-8"))
 
 
-@pytest.mark.skipif(
-    platform.python_version() != REFERENCE["python"],
-    reason=f"the reference was made with Python {REFERENCE['python']}",
-)
 def test_every_pool_job_matches_the_reference(tmp_path, monkeypatch):
     monkeypatch.syspath_prepend(str(PERFBENCH))
     pool, run = importlib.import_module("pool"), importlib.import_module("run")

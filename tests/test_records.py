@@ -2,7 +2,7 @@
 
 Each record is checked against a dataclass twin made here with the same
 fields and frozenness: repr text, equality, hash, immutability, positional
-and keyword construction.  Defaults are pinned by their repr.
+and keyword construction.
 """
 
 import copy
@@ -23,18 +23,9 @@ from paritylab import (
     Partition,
     PdDistribution,
 )
-from paritylab.checks import EmfProfile
 
 SPEC = ParitySpec(2, 1, 2)
 LSV = LogScaledValue(1, 2.5)
-
-
-def _f(x):
-    return x
-
-
-def _d(order, x):
-    return x
 
 
 # (record, frozen, sample fields, the same record with one field changed)
@@ -49,7 +40,6 @@ RECORDS = [
     (EstimateTerms, True, (LSV, LSV, LSV, []), (LSV, LSV, LogScaledValue.zero(), [])),
     (BoundaryData, True, (0.25, 1.25, 3, 2), (0.25, 1.25, 3, 3)),
     (CheckResult, True, ("check_x", True, 0.5, 1.0, 3, "notes"), ("check_x", False, 1.5, 1.0, 3, "notes")),
-    (EmfProfile, True, ("gaussian", _f, _d, 0.5j), ("gaussian", _f, _d, 0j)),
 ]
 
 
@@ -107,10 +97,6 @@ def test_record_survives_pickle_and_copy(record, values):
     assert pickle.loads(pickle.dumps(rec)) == rec
     assert copy.copy(rec) == rec
     assert copy.deepcopy(rec) == rec
-
-
-def test_record_defaults():
-    assert EmfProfile("gaussian", _f, _d).a == 0j
 
 
 def test_record_construction_errors():
