@@ -8,7 +8,9 @@ Two equivalent closed forms are implemented:
 
 * estimate_thm1: a sum over residue tuples l in {0..N-1}^N with
   N H(l) == n (mod N).  Each tuple contributes the same erfc main term and a
-  second term driven by the boundary fraction partial* of that tuple.
+  second term driven by the boundary fraction partial* of that tuple, which
+  depends on the tuple only through its delta class [l_alpha - l_beta -
+  ceil]_N; the tuples are counted per class, not enumerated.
 * estimate_thm2: the aggregated two-term form available for N = 2 and
   5 <= N <= 6, with the tuple sum collapsed into the single coefficient
   (beta - alpha + N - 2 N partial).
@@ -29,11 +31,10 @@ from __future__ import annotations
 import cmath
 import itertools
 import math
-from collections import Counter
 from functools import lru_cache
 from typing import TYPE_CHECKING, Sequence
 
-from .exact import ParitySpec, _FrozenRecord, _require_span_one
+from .exact import ParitySpec, _finite_ceil, _FrozenRecord, _require_span_one
 from .specialfn import _SQRT_PI, _erfc_cf, erfc
 
 if TYPE_CHECKING:
@@ -146,17 +147,12 @@ class LogScaledValue(_FrozenRecord):
 
 
 class EstimateTerms(_FrozenRecord):
-    """Two-term asymptotic estimate: main, second, and their log-space total.
+    """Two-term asymptotic estimate: main, second, and their log-space total."""
 
-    per_tuple lists (residue tuple, main, second) for the tuple-sum route;
-    closed-form routes leave it empty.
-    """
-
-    __slots__ = ("main", "second", "total", "per_tuple")
+    __slots__ = ("main", "second", "total")
     main: LogScaledValue
     second: LogScaledValue
     total: LogScaledValue
-    per_tuple: list[tuple[ResidueTuple, LogScaledValue, LogScaledValue]]
 
 
 class BoundaryData(_FrozenRecord):
@@ -180,12 +176,14 @@ class BoundaryData(_FrozenRecord):
 # ---------------------------------------------------------------------------
 
 
+def _nh_term(N: int, j: int, mj: int) -> int:
+    # position j's share of N H(m): N m_j (m_j - 1)/2 + j m_j
+    return N * (mj * (mj - 1) // 2) + j * mj
+
+
 def nh_value(m: Sequence[int], N: int) -> int:
     """N * H(m) as an exact integer: sum_j [N m_j (m_j - 1)/2 + j m_j]."""
-    total = 0
-    for j, mj in enumerate(m, start=1):
-        total += N * (mj * (mj - 1) // 2) + j * mj
-    return total
+    return sum(_nh_term(N, j, mj) for j, mj in enumerate(m, start=1))
 
 
 def H_value(m: Sequence[int], N: int) -> Fraction:
@@ -217,11 +215,24 @@ def _free_position_distribution(N: int, alpha: int, beta: int) -> tuple[int, ...
     free = [j for j in range(1, N + 1) if j not in (alpha, beta)]
     dist = [0] * N
     for combo in itertools.product(range(N), repeat=len(free)):
-        rho = 0
-        for j, v in zip(free, combo):
-            rho += N * (v * (v - 1) // 2) + j * v
-        dist[rho % N] += 1
+        dist[sum(_nh_term(N, j, v) for j, v in zip(free, combo)) % N] += 1
     return tuple(dist)
+
+
+def _delta_class_counts(N: int, alpha: int, beta: int, r: int, s: int) -> list[int]:
+    """counts[delta]: the tuples l with N H(l) == r (mod N) and
+    [l_alpha - l_beta - s]_N = delta.
+
+    Each of the N^2 choices of (l_alpha, l_beta) fixes delta, and the free
+    positions complete it to dist[(r - fixed) mod N] admissible tuples (see
+    _free_position_distribution), so no tuple is enumerated.
+    """
+    dist = _free_position_distribution(N, alpha, beta)
+    counts = [0] * N
+    for la, lb in itertools.product(range(N), repeat=2):
+        fixed = _nh_term(N, alpha, la) + _nh_term(N, beta, lb)
+        counts[(la - lb - s) % N] += dist[(r - fixed) % N]
+    return counts
 
 
 def l_count_check(
@@ -240,12 +251,7 @@ def l_count_check(
     if not (0 <= l_alpha < N and 0 <= l_beta < N):
         raise ValueError("fixed entries must lie in 0..N-1")
     dist = _free_position_distribution(N, alpha, beta)
-    fixed = (
-        N * (l_alpha * (l_alpha - 1) // 2)
-        + alpha * l_alpha
-        + N * (l_beta * (l_beta - 1) // 2)
-        + beta * l_beta
-    )
+    fixed = _nh_term(N, alpha, l_alpha) + _nh_term(N, beta, l_beta)
     return dist[(r - fixed) % N]
 
 
@@ -279,13 +285,13 @@ def guarded_ceil(t: float) -> tuple[int, float]:
     When t is within 1e-9 of an integer the ceiling is taken as that integer
     and the fractional part as exactly 0: the boundary fraction is
     discontinuous at integers and float noise (say 2401^{1/4} = 7 + 1ulp) must
-    not flip the branch.
+    not flip the branch.  An infinite or NaN t raises ValueError.
     """
+    c = _finite_ceil(t)
     r = round(t)
     if abs(t - r) < 1e-9:
         return int(r), 0.0
-    c = math.ceil(t)
-    return int(c), c - t
+    return c, c - t
 
 
 def boundary_data(
@@ -372,9 +378,9 @@ def estimate_thm1(n: int, spec: ParitySpec, c0: float) -> EstimateTerms:
     Every tuple carries the same main term
     erfc(c0 sqrt(pi N)/(2 * 3^{1/4})) / (8 * 3^{1/4} N^{N-1}) and a second
     term that depends on the tuple only through its boundary fraction
-    partial*.  Tuples are therefore grouped by delta = [l_a - l_b - ceil]_N
-    (the grouping is lossless) so the total uses a handful of stable additions
-    instead of up to 6^5 repeated log-sum-exps.
+    partial*, so through delta = [l_a - l_b - ceil]_N alone.  The sum takes
+    the number of tuples in each delta class (see _delta_class_counts): one
+    second term and one stable addition per class, and no tuple enumerated.
     """
     N = spec.N
     if not 2 <= N <= 6:
@@ -392,20 +398,14 @@ def estimate_thm1(n: int, spec: ParitySpec, c0: float) -> EstimateTerms:
     t = c0 * n**0.25
     ceil_c, partial = guarded_ceil(t)
 
-    tuples = residue_tuples(n, N)
-    deltas = [(l[spec.alpha - 1] - l[spec.beta - 1] - ceil_c) % N for l in tuples]
-    delta_counts = Counter(deltas)
-    second = {d: _second_term(n, N, bma, partial + d, c0) for d in sorted(delta_counts)}
-    main_per_tuple = _log_scaled(1, log_main_per_tuple)
-    per_tuple = [(l, main_per_tuple, second[d]) for l, d in zip(tuples, deltas)]
-
-    main_total = _log_scaled(1, log_main_per_tuple + math.log(len(tuples)))
+    counts = _delta_class_counts(N, spec.alpha, spec.beta, n % N, ceil_c % N)
+    main_total = _log_scaled(1, log_main_per_tuple + math.log(sum(counts)))
     second_total = LogScaledValue.zero()
-    for d, term in second.items():
-        second_total = second_total.plus(term.scaled(float(delta_counts[d])))
-    return EstimateTerms(
-        main_total, second_total, main_total.plus(second_total), per_tuple
-    )
+    for d, count in enumerate(counts):
+        if count:
+            term = _second_term(n, N, bma, partial + d, c0)
+            second_total = second_total.plus(term.scaled(float(count)))
+    return EstimateTerms(main_total, second_total, main_total.plus(second_total))
 
 
 def estimate_thm2(n: int, spec: ParitySpec, c0: float) -> EstimateTerms:
@@ -441,7 +441,7 @@ def estimate_thm2(n: int, spec: ParitySpec, c0: float) -> EstimateTerms:
             + log_pref
         )
         second = _log_scaled(1 if coef > 0 else -1, log_mag)
-    return EstimateTerms(main, second, main.plus(second), [])
+    return EstimateTerms(main, second, main.plus(second))
 
 
 def estimate_hua(n: int) -> LogScaledValue:
@@ -617,9 +617,7 @@ def nr_contour_integral(
     return value * n ** ((2.0 * A + 3.0) / 4.0)
 
 
-def gaussian_tail_integrals(
-    kappa_scaled: float, N: int, spec: ParitySpec
-) -> tuple[float, float]:
+def gaussian_tail_integrals(kappa_scaled: float, spec: ParitySpec) -> tuple[float, float]:
     """The two closed-form Gaussian tail integrals over {u : u_a - u_b >= t}.
 
     With t = kappa_scaled:
@@ -630,8 +628,7 @@ def gaussian_tail_integrals(
     (u_a +- u_b)/sqrt 2 kills every odd factor except the (beta - alpha) v
     term, which integrates to e^{-t^2/2}/2.
     """
-    if spec.N != N:
-        raise ValueError("N must match spec.N")
+    N = spec.N
     t = kappa_scaled
     c0_val = math.pi ** (N / 2.0) / 2.0 * erfc(t / math.sqrt(2.0))
     c1_val = (

@@ -219,8 +219,7 @@ def _gaussian_derivative(order: int, x: complex) -> complex:
     return (-1.0) ** order * h_cur * cmath.exp(-x * x)
 
 
-# (name, f, exact derivative(order, x)): exact derivatives, because central
-# differences are noise-limited beyond order ~3 and R = 3 needs order 5
+# (name, f, the exact derivative(order, x) of f); R = 3 needs orders 1, 3 and 5
 _EMF_PROFILES = (
     ("gaussian", lambda x: cmath.exp(-x * x), _gaussian_derivative),
     ("exponential", lambda x: cmath.exp(-x), lambda order, x: (-1.0) ** order * cmath.exp(-x)),

@@ -30,7 +30,7 @@ from .exact import (
     ParitySpec,
     lattice_span,
     pd_distribution,
-    # not called here: perfbench/tracejob.py wraps this name, until ROADMAP item 4
+    # not called here: perfbench/tracejob.py wraps this name, until ROADMAP item 1
     # spans the tail engine instead
     pd_distribution_family,
     tail_counts,

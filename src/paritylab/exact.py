@@ -56,9 +56,9 @@ neutral class.  Each job runs exactly one engine:
   either order adds a column; evaluated over B_l, a row k < 0 would start
   with -k levels that only divide, at the small moduli N l where a division
   takes the most doubling steps.  Each row is unpacked into the per-weight
-  counts as soon as it is made, at the requested weights only.  For N = 2
-  this takes about 0.55 s at n_max = 3000, 1.9 s at 5000 and 9 s at
-  10 000, roughly n^2.5, and larger N is faster.
+  counts as soon as it is made.  For N = 2 this takes about 0.55 s at
+  n_max = 3000, 1.9 s at 5000 and 9 s at 10 000, roughly n^2.5, and larger
+  N is faster.
 * tail_counts (the tails sum_{k >= c} f_s(k) at weights s <= n_max) makes
   one packed row per distinct threshold c, not every difference row.  With
   C_j = 0 for j < 0, row k is sum_l C_{k+l} * B_l for every k, negative k
@@ -123,7 +123,6 @@ from collections import Counter
 from collections.abc import Iterator, Sequence
 
 __all__ = [
-    "EnumerationLimitExceeded",
     "Partition",
     "ParitySpec",
     "PdDistribution",
@@ -138,10 +137,6 @@ __all__ = [
     "count_distinct",
     "parity_bias",
 ]
-
-
-class EnumerationLimitExceeded(Exception):
-    """enumerate_distinct was asked for more partitions than its cap."""
 
 
 # ---------------------------------------------------------------------------
@@ -326,17 +321,22 @@ def _require_span_one(spec: ParitySpec, what: str) -> None:
         )
 
 
+def _finite_ceil(c: float) -> int:
+    """ceil(c) of a finite threshold; an infinite or NaN one raises ValueError."""
+    try:
+        return math.ceil(c)
+    except (OverflowError, ValueError):
+        raise ValueError(f"threshold must be finite, got {c!r}") from None
+
+
 # ---------------------------------------------------------------------------
 # enumeration oracle
 # ---------------------------------------------------------------------------
 
 
-def enumerate_distinct(n: int, limit: int | None = None) -> list[Partition]:
+def enumerate_distinct(n: int) -> list[Partition]:
     """All distinct-part partitions of n, largest part first, in descending
     lexicographic order: for n=8 that is (8),(7,1),(6,2),(5,3),(5,2,1),(4,3,1).
-
-    `limit` caps the number of partitions produced; exceeding it raises
-    EnumerationLimitExceeded, signalling an infeasible enumeration.
     """
     if n < 0:
         raise ValueError("n must be >= 0")
@@ -344,10 +344,6 @@ def enumerate_distinct(n: int, limit: int | None = None) -> list[Partition]:
 
     def rec(remaining: int, max_part: int, prefix: tuple[int, ...]) -> None:
         if remaining == 0:
-            if limit is not None and len(out) >= limit:
-                raise EnumerationLimitExceeded(
-                    f"more than {limit} partitions requested for n = {n}"
-                )
             out.append(Partition(prefix, n))
             return
         for p in range(min(remaining, max_part), 0, -1):
@@ -630,13 +626,6 @@ def _limbs_at(G: int, e: int, n: int, W: int, weights: range) -> tuple[int, list
     return i, _limbs(memoryview(blob)[lo : lo + (len(weights) - i) * step * Wb], Wb, step)
 
 
-def _check_weights(weights: range, n_max: int) -> None:
-    if weights.step < 1 or weights.start < 0 or (weights and weights[-1] > n_max):
-        raise ValueError(
-            f"weights must be a range with step >= 1 inside 0..{n_max}, got {weights!r}"
-        )
-
-
 # ---------------------------------------------------------------------------
 # every weight
 # ---------------------------------------------------------------------------
@@ -680,35 +669,26 @@ def _class_rows(
         yield k, e, G
 
 
-def pd_distribution_family(
-    n_max: int, spec: ParitySpec, weights: range | None = None
-) -> list[PdDistribution]:
-    """Distributions at every weight 0..n_max, or at `weights`, from one pass.
+def pd_distribution_family(n_max: int, spec: ParitySpec) -> list[PdDistribution]:
+    """Distributions at every weight 0..n_max from one pass; list index = weight.
 
     Every packed series carries one limb per weight, so the whole family
     costs one pass at n_max: closed-form neutral and class columns, then one
     Horner pass over the columns of one class per difference row (about
     0.55 s at n_max = 3000 and 1.9 s at 5000 for N = 2, less for larger
     N).  Each row is unpacked as soon as it is made, so no more than one
-    packed row is held at a time, and only at the weights asked for:
-    `weights` is a range with step >= 1 inside 0..n_max, and the
-    distributions come back in its order.  The default is every weight, so
-    list index = weight.
+    packed row is held at a time.
     """
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
-    if weights is None:
-        weights = range(n_max + 1)
-    _check_weights(weights, n_max)
     W = _limb_width_bits(n_max)
-    rows: list[dict[int, int]] = [{} for _ in weights]
+    rows: list[dict[int, int]] = [{} for _ in range(n_max + 1)]
     for k, e, G in _family_rows(n_max, spec, W):
-        i, limbs = _limbs_at(G, e, n_max, W, weights)
-        for i, c in enumerate(limbs, i):
+        for s, c in enumerate(_unpack(G, W, n_max - e), e):
             if c:
-                rows[i][k] = c
+                rows[s][k] = c
         del G  # hold no row while _family_rows builds its next columns
-    return [PdDistribution(s, spec, row) for s, row in zip(weights, rows)]
+    return [PdDistribution(s, spec, row) for s, row in enumerate(rows)]
 
 
 # ---------------------------------------------------------------------------
@@ -732,9 +712,12 @@ def tail_counts(spec: ParitySpec, weights: range, thresholds: Sequence[float]) -
         )
     if not weights:
         return []
+    if weights.step < 1 or weights.start < 0:
+        raise ValueError(
+            f"weights must be a range with step >= 1 and start >= 0, got {weights!r}"
+        )
     n = weights[-1]
-    _check_weights(weights, n)
-    kcs = [math.ceil(c) for c in thresholds]
+    kcs = list(map(_finite_ceil, thresholds))
     W = _limb_width_bits(n)
     cols, low_a, low_b = _horner_columns(_neutral_series(n, spec, W), spec, n, W)
     # cols[m] <- S_m = sum_{j >= m} C_j, for every m a tail row reads
@@ -767,7 +750,7 @@ def count_at_least_of(dist: PdDistribution, c: float) -> int:
     pd takes integer values, so the real threshold resolves losslessly to
     ceil(c) before anything is counted: the sum is over k >= ceil(c).
     """
-    kc = math.ceil(c)
+    kc = _finite_ceil(c)
     return sum(v for k, v in dist.counts.items() if k >= kc)
 
 

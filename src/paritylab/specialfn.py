@@ -6,7 +6,7 @@ Everything here is double precision with stated accuracy targets:
                     (series for |x| <= 2, Lentz continued fraction beyond,
                     absolute floor 1e-300 in the deep tail);
 * Bernoulli      -- exact rational numbers/polynomials up to degree 60;
-* polylog        -- Li_s for integer s <= 2 on |w| < 1, 1e-12 relative;
+* dilog          -- the dilogarithm Li_2 on |w| < 1, 1e-12 relative;
 * rogers_L       -- the Rogers dilogarithm on (0, 1);
 * lambda_y, s_of_y -- the saddle-direction functions
                     Lambda(y) = N(pi^2/6 - log(2)^2 (1+iy)^2 / 2 - Li_2(2^{-(1+iy)}))
@@ -21,7 +21,7 @@ from __future__ import annotations
 import cmath
 import math
 from functools import lru_cache
-from typing import TYPE_CHECKING, Callable, Sequence, Union
+from typing import TYPE_CHECKING, Callable, Union
 
 from .exact import _Record
 
@@ -34,7 +34,7 @@ __all__ = [
     "erfc",
     "bernoulli_number",
     "bernoulli_poly",
-    "polylog",
+    "dilog",
     "rogers_L",
     "lambda_y",
     "s_of_y",
@@ -162,7 +162,7 @@ def bernoulli_poly(
 
 
 # ---------------------------------------------------------------------------
-# polylogarithms
+# the dilogarithm
 # ---------------------------------------------------------------------------
 
 
@@ -203,53 +203,25 @@ def _li2_log_expansion(w: complex) -> complex:
     return total
 
 
-def _li_negative(k: int, w: complex) -> complex:
-    # Li_{-k}(w) = P_k(w) / (1-w)^{k+1} with integer-coefficient polynomials
-    # P_0 = w and P_k = w((1-w) P'_{k-1} + k P_{k-1})  (apply w d/dw k times
-    # to w/(1-w)).
-    coeffs = [0, 1]  # P_0(w) = w, as coefficients of w^i
-    for j in range(1, k + 1):
-        deriv = [i * coeffs[i] for i in range(1, len(coeffs))]
-        inner = [0] * (len(deriv) + 1)
-        for i, c in enumerate(deriv):
-            inner[i] += c  # P'
-            inner[i + 1] -= c  # minus w P'
-        for i, c in enumerate(coeffs):
-            inner[i] += j * c  # plus j P  (same degree as (1-w)P')
-        coeffs = [0] + inner  # times w
-    poly = 0.0 + 0.0j
-    for c in reversed(coeffs):
-        poly = poly * w + c
-    return poly / (1.0 - w) ** (k + 1)
+def dilog(w: complex) -> complex:
+    """Li_2(w) = sum_{n>=1} w^n / n^2 for |w| <= 1 - 1e-9.
 
-
-def polylog(s: int, w: complex) -> complex:
-    """Li_s(w) = sum_{n>=1} w^n / n^s for integer s <= 2 and |w| < 1.
-
-    Li_2 uses the defining series for |w| <= 1/2 and the log-singularity
-    expansion on 1/2 < |w| <= 1 - 1e-9; Li_1 and below use closed forms.
+    The defining series for |w| <= 1/2 and the log-singularity expansion on
+    1/2 < |w| <= 1 - 1e-9.
     """
-    if s > 2:
-        raise ValueError("only s <= 2 is supported")
     w = complex(w)
     if abs(w) > 1.0 - 1e-9:
-        raise ValueError("polylog requires |w| <= 1 - 1e-9")
-    if s == 2:
-        if abs(w) <= 0.5:
-            return _li2_series(w)
-        return _li2_log_expansion(w)
-    if s == 1:
-        return -cmath.log(1.0 - w)
-    if s == 0:
-        return w / (1.0 - w)
-    return _li_negative(-s, w)
+        raise ValueError("dilog requires |w| <= 1 - 1e-9")
+    if abs(w) <= 0.5:
+        return _li2_series(w)
+    return _li2_log_expansion(w)
 
 
 def rogers_L(w: float) -> float:
     """Rogers dilogarithm L(w) = Li_2(w) + (1/2) log(w) log(1-w) - pi^2/6 on (0,1)."""
     if not 0.0 < w < 1.0:
         raise ValueError("rogers_L requires 0 < w < 1")
-    li2 = polylog(2, complex(w)).real
+    li2 = dilog(w).real
     return li2 + 0.5 * math.log(w) * math.log1p(-w) - _PI2_6
 
 
@@ -261,8 +233,8 @@ def rogers_L(w: float) -> float:
 def lambda_y(y: float, N: int) -> complex:
     """Lambda(y) = N(pi^2/6 - log(2)^2 (1+iy)^2/2 - Li_2(2^{-(1+iy)})).
 
-    The polylog argument has modulus exactly 1/2, so the direct series path is
-    always taken.  At y = 0 the dilogarithm identity Li_2(1/2) =
+    The dilogarithm's argument has modulus exactly 1/2, so the direct series
+    path is always taken.  At y = 0 the dilogarithm identity Li_2(1/2) =
     pi^2/12 - log(2)^2/2 collapses the bracket to pi^2/12, i.e.
     Lambda(0) = N pi^2 / 12.
     """
@@ -278,7 +250,7 @@ def _lambda_bracket(y: float) -> complex:
     # each grid point costs one dilogarithm
     u = complex(1.0, y)
     w = cmath.exp(-u * _LOG2)  # 2^{-(1+iy)}
-    return _PI2_6 - _LOG2 * _LOG2 * u * u / 2.0 - polylog(2, w)
+    return _PI2_6 - _LOG2 * _LOG2 * u * u / 2.0 - dilog(w)
 
 
 def s_of_y(y: float, N: int) -> float:
@@ -311,48 +283,12 @@ class EmfReport(_Record):
     residual: complex
 
 
-def _solve_fd_weights(order: int, offsets: Sequence[int]) -> list[Fraction]:
-    # Exact finite-difference weights: solve sum_j w_j o_j^p = p! [p == order]
-    # for p = 0..len(offsets)-1 (Vandermonde system, Fraction elimination).
-    from fractions import Fraction
-
-    npts = len(offsets)
-    rows = [
-        [Fraction(o) ** p for o in offsets] + [Fraction(math.factorial(order)) if p == order else Fraction(0)]
-        for p in range(npts)
-    ]
-    for col in range(npts):
-        piv = next(r for r in range(col, npts) if rows[r][col] != 0)
-        rows[col], rows[piv] = rows[piv], rows[col]
-        inv = 1 / rows[col][col]
-        rows[col] = [v * inv for v in rows[col]]
-        for r in range(npts):
-            if r != col and rows[r][col] != 0:
-                factor = rows[r][col]
-                rows[r] = [a - factor * b for a, b in zip(rows[r], rows[col])]
-    return [rows[j][npts] for j in range(npts)]
-
-
-def _central_difference(
-    f: Callable[[complex], complex], order: int, x: complex, h: float
-) -> complex:
-    # symmetric stencil of order+4 points: 4th-order accurate for odd orders
-    half = (order + 3) // 2
-    offsets = list(range(-half, half + 1))
-    weights = _solve_fd_weights(order, offsets)
-    acc = 0.0 + 0.0j
-    for o, wgt in zip(offsets, weights):
-        if wgt:
-            acc += float(wgt) * f(x + o * h)
-    return acc / h**order
-
-
 def euler_maclaurin(
     f: Callable[[complex], complex],
     a: complex,
     z: complex,
     R: int,
-    derivative: Callable[[int, complex], complex] | None = None,
+    derivative: Callable[[int, complex], complex],
 ) -> EmfReport:
     """Evaluate sum_{n>=0} f(nz + a) against its Euler-Maclaurin expansion.
 
@@ -361,10 +297,8 @@ def euler_maclaurin(
                              + residual.
 
     f (and its derivatives) must decay rapidly along the ray; growth of the
-    summand is detected and aborts.  `derivative(order, x)` supplies exact
-    derivatives; without it, 4th-order central differences with step
-    h = 1e-4 * |z| are used -- fine for the low orders, noise-limited beyond
-    order ~3, which is why the verification profiles pass exact derivatives.
+    summand is detected and aborts.  `derivative(order, x)` is the exact
+    order-th derivative of f at x.
     """
     if R < 0:
         raise ValueError("R must be >= 0")
@@ -418,11 +352,7 @@ def euler_maclaurin(
 
     corrections: list[complex] = []
     for r in range(1, R + 1):
-        order = 2 * r - 1
-        if derivative is not None:
-            deriv = complex(derivative(order, a))
-        else:
-            deriv = _central_difference(f, order, a, 1e-4 * abs(z))
+        deriv = complex(derivative(2 * r - 1, a))
         coeff = float(bernoulli_number(2 * r)) / math.factorial(2 * r)
         corrections.append(-coeff * z ** (2 * r - 1) * deriv)
 

@@ -30,7 +30,7 @@ from paritylab import (
     nr_contour_integral,
     residue_tuples,
 )
-from paritylab.asymptotics import _pairwise_sum
+from paritylab.asymptotics import _delta_class_counts, _pairwise_sum
 
 Q3 = 3.0**0.25
 SQRT3 = math.sqrt(3.0)
@@ -166,6 +166,22 @@ def test_guarded_ceil_values():
     assert guarded_ceil(-1.25) == (-1, pytest.approx(0.25))
 
 
+@pytest.mark.parametrize("c0", [math.inf, -math.inf, math.nan])
+def test_a_non_finite_threshold_raises_value_error(c0):
+    # the threshold c0 n^{1/4} reaches guarded_ceil in each of these; a NaN c0
+    # is refused by erfc first in the estimates
+    spec = ParitySpec(2, 1, 2)
+    calls = (
+        lambda: guarded_ceil(c0),
+        lambda: boundary_data(c0, 100, (0, 1), spec),
+        lambda: estimate_thm1(100, spec, c0),
+        lambda: estimate_thm2(100, spec, c0),
+    )
+    for call in calls:
+        with pytest.raises(ValueError, match="finite"):
+            call()
+
+
 @given(
     st.floats(min_value=0.0, max_value=3.0),
     st.integers(min_value=1, max_value=10000),
@@ -274,13 +290,19 @@ def test_delta_classes_hold_equal_tuple_counts():
             assert set(classes.values()) == {N ** (N - 2)}
 
 
-def test_per_tuple_breakdown_shape():
-    est = estimate_thm1(100, ParitySpec(3, 1, 2), 1.0)
-    assert len(est.per_tuple) == 9
-    total = LogScaledValue.zero()
-    for _, main, second in est.per_tuple:
-        total = total.plus(main).plus(second)
-    assert total.log_abs == pytest.approx(est.total.log_abs, abs=1e-11)
+def test_delta_class_counts_match_residue_tuples():
+    # estimate_thm1 counts the tuples of each delta class from the free
+    # positions' distribution; the enumeration agrees for every class pair,
+    # n mod N and ceiling mod N
+    for N in range(2, 7):
+        for r in range(N):
+            tuples = residue_tuples(r, N)
+            for alpha, beta in itertools.permutations(range(1, N + 1), 2):
+                for s in range(N):
+                    counts = _delta_class_counts(N, alpha, beta, r, s)
+                    ref = Counter((l[alpha - 1] - l[beta - 1] - s) % N for l in tuples)
+                    nonzero = {d: c for d, c in enumerate(counts) if c}
+                    assert nonzero == ref, (N, alpha, beta, r, s)
 
 
 def test_n3_second_term_closed_form():
@@ -447,7 +469,7 @@ def test_pairwise_sum_equals_numpy_complex_sum(m):
 @pytest.mark.parametrize("t", [0.0, 0.8])
 def test_gaussian_tails_against_quadrature(t):
     spec = ParitySpec(3, 1, 2)
-    c0_val, c1_val = gaussian_tail_integrals(t, 3, spec)
+    c0_val, c1_val = gaussian_tail_integrals(t, spec)
     # reduce to the (u_a, u_b) plane; the other N-2 coordinates integrate
     # to pi^{(N-2)/2} for the constant weight and 0 for their odd weights
     rest = math.pi ** ((3 - 2) / 2.0)
@@ -467,8 +489,3 @@ def test_gaussian_tails_against_quadrature(t):
 
     c1_ref, _ = dblquad(cubic_weight, -8.0, 8.0, lambda ub: ub + t, 8.5, epsabs=1e-12)
     assert c1_val == pytest.approx(rest * c1_ref, rel=1e-8, abs=1e-12)
-
-
-def test_gaussian_tails_validates_modulus():
-    with pytest.raises(ValueError):
-        gaussian_tail_integrals(0.0, 3, ParitySpec(2, 1, 2))

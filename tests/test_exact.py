@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 import oracles
 from paritylab import (
-    EnumerationLimitExceeded,
     ParitySpec,
     Partition,
     count_at_least_of,
@@ -26,6 +25,15 @@ from paritylab.cli import DEFAULT_CEILING
 from paritylab.exact import _distinct_counts, _limb_width_bits
 
 SPEC212 = ParitySpec(2, 1, 2)
+ALL_PAIRS = [
+    ParitySpec(N, a, b) for N in range(2, 7) for a in range(1, N + 1) for b in range(1, N + 1) if a != b
+]
+
+
+def _thresholds(m):
+    # one threshold per ceiling from below -m to above m: the even ceilings
+    # as integers, the odd ones as reals half a unit below them
+    return [k if k % 2 == 0 else k - 0.5 for k in range(-m - 2, m + 3)]
 
 
 # ---------------------------------------------------------------------------
@@ -71,12 +79,6 @@ def test_enumerate_distinct_frozen_small_cases():
     ]
 
 
-def test_enumerate_distinct_limit():
-    with pytest.raises(EnumerationLimitExceeded):
-        enumerate_distinct(8, limit=3)
-    assert len(enumerate_distinct(8, limit=6)) == 6
-
-
 @given(st.integers(min_value=0, max_value=30))
 def test_enumerate_matches_independent_recursion(n):
     ours = {p.parts for p in enumerate_distinct(n)}
@@ -117,6 +119,13 @@ def test_count_at_least_real_threshold_uses_ceiling():
     # pd is integral, so any c in (0, 1] counts the same partitions as c = 1
     dist = pd_distribution(8, SPEC212)
     assert count_at_least_of(dist, 0.25) == count_at_least_of(dist, 1)
+    assert count_at_least_of(dist, 10**400) == 0
+
+
+@pytest.mark.parametrize("c", [math.inf, -math.inf, math.nan])
+def test_count_at_least_refuses_a_non_finite_threshold(c):
+    with pytest.raises(ValueError, match="threshold must be finite"):
+        count_at_least_of(pd_distribution(8, SPEC212), c)
 
 
 def test_count_distinct_examples_and_oracle_row():
@@ -237,37 +246,16 @@ def test_family_consistent_with_single_runs():
 )
 @pytest.mark.parametrize("spec", [SPEC212, ParitySpec(3, 2, 3), ParitySpec(5, 1, 2)], ids=str)
 def test_family_at_requested_weights(spec, weights):
+    # the family read at these weights is the packed DP's, and the tail
+    # engine, which reads its rows at the requested weights only, gives the
+    # family's tails there for every ceiling
     full = pd_distribution_family(300, spec)
+    family = [full[s] for s in weights]
     ref = oracles.packed_dp_family(300, spec.N, spec.alpha, spec.beta)
-    family = pd_distribution_family(300, spec, weights)
-    assert [d.n for d in family] == list(weights)
-    # items, not dicts: the key order must match the full family's too
-    assert [list(d.counts.items()) for d in family] == [list(full[s].counts.items()) for s in weights]
     assert [d.counts for d in family] == [ref[s] for s in weights]
-
-
-def test_family_at_requested_weights_for_every_class_pair():
-    for N in range(2, 7):
-        for a in range(1, N + 1):
-            for b in range(1, N + 1):
-                if a == b:
-                    continue
-                spec = ParitySpec(N, a, b)
-                full = [list(d.counts.items()) for d in pd_distribution_family(60, spec)]
-                assert len(full) == 61
-                for weights in (range(61), range(0, 61, 60), range(7, 61, 3), range(60, 61)):
-                    family = pd_distribution_family(60, spec, weights)
-                    assert [(d.n, list(d.counts.items())) for d in family] == [
-                        (s, full[s]) for s in weights
-                    ], (spec, weights)
-
-
-@pytest.mark.parametrize(
-    "weights", [range(60, 0, -1), range(-1, 60), range(0, 62), range(50, 70, 5)]
-)
-def test_family_refuses_weights_outside_0_to_n_max(weights):
-    with pytest.raises(ValueError, match="weights"):
-        pd_distribution_family(60, SPEC212, weights)
+    for c in _thresholds(m_max(300)):
+        tails = tail_counts(spec, weights, [c] * len(weights))
+        assert tails == [count_at_least_of(d, c) for d in family], c
 
 
 def test_engines_at_weights_0_and_1_for_every_class_pair():
@@ -410,27 +398,20 @@ def test_family_pass_doubling_steps(monkeypatch, spec, n_max, steps):
         return divide(x, a, top, W, mask)
 
     monkeypatch.setattr(exact, "_divide_one_minus", counting)
-    pd_distribution_family(n_max, spec, range(n_max, n_max + 1))
+    pd_distribution_family(n_max, spec)
     assert count == steps
 
 
 def test_family_reflection_at_every_weight():
     # f_{alpha,beta}(k) = f_{beta,alpha}(-k): the rows k < 0 of one pair are
     # made by the Horner pass that makes the rows k > 0 of the swapped pair
-    pairs = [
-        (ParitySpec(N, a, b), 60, None)
-        for N in range(2, 7)
-        for a in range(1, N + 1)
-        for b in range(1, N + 1)
-        if a != b
-    ]
+    pairs = [(spec, 60) for spec in ALL_PAIRS]
     assert len(pairs) == 70
-    strided = range(3, 301, 7)
-    pairs += [(spec, 300, strided) for spec in (SPEC212, ParitySpec(5, 1, 2), ParitySpec(3, 2, 3))]
-    for spec, n_max, weights in pairs:
-        family = pd_distribution_family(n_max, spec, weights)
-        mirrored = pd_distribution_family(n_max, spec.swapped(), weights)
-        assert [d.n for d in family] == [d.n for d in mirrored] == list(weights or range(n_max + 1))
+    pairs += [(spec, 300) for spec in (SPEC212, ParitySpec(5, 1, 2), ParitySpec(3, 2, 3))]
+    for spec, n_max in pairs:
+        family = pd_distribution_family(n_max, spec)
+        mirrored = pd_distribution_family(n_max, spec.swapped())
+        assert [d.n for d in family] == [d.n for d in mirrored] == list(range(n_max + 1))
         for d, m in zip(family, mirrored):
             assert list(d.counts) == sorted(d.counts), (spec, d.n)
             assert list(m.counts) == sorted(m.counts), (spec, d.n)
@@ -542,22 +523,13 @@ def test_limb_width_headroom():
 # the tail engine
 # ---------------------------------------------------------------------------
 
-ALL_PAIRS = [
-    ParitySpec(N, a, b) for N in range(2, 7) for a in range(1, N + 1) for b in range(1, N + 1) if a != b
-]
-
-
-def _thresholds(m):
-    # one threshold per ceiling from below -m to above m: the even ceilings
-    # as integers, the odd ones as reals half a unit below them
-    return [k if k % 2 == 0 else k - 0.5 for k in range(-m - 2, m + 3)]
-
 
 @pytest.mark.parametrize("n_max, weights", [(60, range(61)), (300, range(6, 301, 7))])
 def test_tail_counts_match_family_and_packed_dp(n_max, weights):
     assert len(ALL_PAIRS) == 70
     for spec in ALL_PAIRS:
-        family = pd_distribution_family(n_max, spec, weights)
+        full = pd_distribution_family(n_max, spec)
+        family = [full[s] for s in weights]
         # so a tail of the family is a tail of the packed DP too
         packed = oracles.packed_dp_family(n_max, spec.N, spec.alpha, spec.beta)
         assert [d.counts for d in family] == [packed[s] for s in weights], spec
@@ -571,7 +543,8 @@ def test_tail_counts_with_a_threshold_per_weight():
     # a threshold of its own, runs of equal ones and a revisited one included
     weights = range(2, 301, 3)
     for spec in (SPEC212, ParitySpec(3, 2, 3), ParitySpec(5, 1, 2), ParitySpec(6, 6, 1)):
-        family = pd_distribution_family(300, spec, weights)
+        full = pd_distribution_family(300, spec)
+        family = [full[s] for s in weights]
         for thresholds in (
             [math.ceil(0.75 * n**0.25) for n in weights],
             [-math.ceil(0.5 * n**0.25) for n in weights],
@@ -632,8 +605,13 @@ def test_tail_counts_edge_cases():
     assert tail_counts(SPEC212, range(3), [0, 0, 0]) == [1, 1, 0]  # d(2) = 1, pd(2) = -1
     assert tail_counts(SPEC212, range(100, 101), [1e300]) == [0]
     assert tail_counts(SPEC212, range(100, 101), [-1e300]) == [count_distinct(100)]
+    assert tail_counts(SPEC212, range(100, 101), [-(10**400)]) == [count_distinct(100)]
     with pytest.raises(ValueError, match="one value per weight"):
         tail_counts(SPEC212, range(5), [0])
-    for weights in (range(-1, 5), range(5, 0, -1)):
+    # a negative step, a negative start, each with and without weight 0
+    for weights in (range(-1, 5), range(-3, 60, 2), range(5, 0, -1), range(60, -1, -1)):
         with pytest.raises(ValueError, match="weights must be a range"):
             tail_counts(SPEC212, weights, [0] * len(weights))
+    for c in (math.inf, -math.inf, math.nan):
+        with pytest.raises(ValueError, match="threshold must be finite"):
+            tail_counts(SPEC212, range(3), [0, c, 0])

@@ -92,8 +92,7 @@ def test_job_loads_neither(argv):
     # also the probe's positive control, a lazily imported layer it does see
     calls_emf = argv in (["verify"], ["verify", "--only", "check_emf"])
     assert ("paritylab.quadrature" in modules) == calls_emf
-    # euler_maclaurin's Bernoulli numbers and difference weights are the only
-    # rationals a job builds
+    # euler_maclaurin's Bernoulli numbers are the only rationals a job builds
     assert ("fractions" in added) == calls_emf
     # verify writes JSON lines; every other job here writes csv
     assert ("json" in added) == (argv[0] == "verify")

@@ -37,7 +37,7 @@ RECORDS = [
     (BiasProfile, True, (10, SPEC, [(0, 0), (1, 2)], 2), (11, SPEC, [(0, 0), (1, 2)], 2)),
     (EmfReport, False, (1j, 2j, 0.5, [0.25j], 1e-3), (1j, 2j, 0.5, [], 1e-3)),
     (LogScaledValue, True, (1, 2.5), (-1, 2.5)),
-    (EstimateTerms, True, (LSV, LSV, LSV, []), (LSV, LSV, LogScaledValue.zero(), [])),
+    (EstimateTerms, True, (LSV, LSV, LSV), (LSV, LSV, LogScaledValue.zero())),
     (BoundaryData, True, (0.25, 1.25, 3, 2), (0.25, 1.25, 3, 3)),
     (CheckResult, True, ("check_x", True, 0.5, 1.0, 3, "notes"), ("check_x", False, 1.5, 1.0, 3, "notes")),
 ]

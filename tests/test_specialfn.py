@@ -11,10 +11,10 @@ from paritylab import (
     bernoulli_number,
     bernoulli_poly,
     default_sy_grid,
+    dilog,
     erfc,
     euler_maclaurin,
     lambda_y,
-    polylog,
     rogers_L,
     s_of_y,
 )
@@ -104,7 +104,7 @@ def test_bernoulli_poly_float_mode():
 
 
 # ---------------------------------------------------------------------------
-# polylogarithms
+# the dilogarithm
 # ---------------------------------------------------------------------------
 
 LI2_POINTS = [
@@ -124,31 +124,22 @@ LI2_POINTS = [
 @pytest.mark.parametrize("w", LI2_POINTS)
 def test_dilog_against_mpmath(w):
     ref = complex(mpmath.polylog(2, w))
-    got = polylog(2, w)
+    got = dilog(w)
     assert got == pytest.approx(ref, rel=1e-12, abs=1e-12)
 
 
 def test_dilog_half_closed_form():
     expected = math.pi**2 / 12 - math.log(2) ** 2 / 2
-    assert polylog(2, 0.5).real == pytest.approx(expected, abs=1e-14)
-    assert abs(polylog(2, 0.5).imag) < 1e-15
-
-
-def test_polylog_low_orders_closed_forms():
-    for w in (0.37, -0.8 + 0.1j, 0.6j):
-        assert polylog(1, w) == pytest.approx(-cmath.log(1 - w), rel=1e-13)
-        assert polylog(0, w) == pytest.approx(w / (1 - w), rel=1e-13)
-        assert polylog(-1, w) == pytest.approx(w / (1 - w) ** 2, rel=1e-13)
-        assert polylog(-2, w) == pytest.approx(w * (1 + w) / (1 - w) ** 3, rel=1e-13)
+    assert dilog(0.5).real == pytest.approx(expected, abs=1e-14)
+    assert abs(dilog(0.5).imag) < 1e-15
 
 
 def test_polylog_domain():
+    # Li_2 is taken on |w| <= 1 - 1e-9 only
     with pytest.raises(ValueError):
-        polylog(3, 0.5)
+        dilog(1.0)
     with pytest.raises(ValueError):
-        polylog(2, 1.0)
-    with pytest.raises(ValueError):
-        polylog(2, 1.0000001j * 1.0)
+        dilog(1.0000001j * 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -199,7 +190,7 @@ def test_s_of_y_is_the_uncached_formula(N):
     log2, pi2_6 = math.log(2.0), math.pi * math.pi / 6.0
     for y in default_sy_grid():
         u = complex(1.0, y)
-        lam = N * (pi2_6 - log2 * log2 * u * u / 2.0 - polylog(2, cmath.exp(-u * log2)))
+        lam = N * (pi2_6 - log2 * log2 * u * u / 2.0 - dilog(cmath.exp(-u * log2)))
         assert s_of_y(y, N) == (lam / u).real - math.pi * math.pi * N / 12.0
 
 
@@ -215,9 +206,18 @@ def test_s_of_y_taylor_coefficient(N):
 # ---------------------------------------------------------------------------
 
 
+def _exp(t):
+    return cmath.exp(-t)
+
+
+def _dexp(order, x):
+    # d^m/dx^m e^{-x} = (-1)^m e^{-x}
+    return (-1) ** order * cmath.exp(-x)
+
+
 def test_emf_geometric_series():
     z = 0.5
-    report = euler_maclaurin(lambda t: cmath.exp(-t), 0.0, z, R=2)
+    report = euler_maclaurin(_exp, 0.0, z, R=2, derivative=_dexp)
     assert report.sum_value == pytest.approx(1 / (1 - math.exp(-z)), rel=1e-12)
     # for f = e^{-t}: -B_2/2! z f'(0) = z/12
     assert report.correction_terms[0] == pytest.approx(z / 12, rel=1e-10)
@@ -225,7 +225,7 @@ def test_emf_geometric_series():
 
 
 def test_emf_report_identity():
-    report = euler_maclaurin(lambda t: cmath.exp(-t), 0.0, 0.3, R=1)
+    report = euler_maclaurin(_exp, 0.0, 0.3, R=1, derivative=_dexp)
     reassembled = (
         report.integral_term
         + report.boundary_term
@@ -250,10 +250,9 @@ def test_emf_gaussian_profile_residual():
     assert abs(report.residual) <= 1e-8
 
 
-def test_emf_finite_difference_fallback():
-    # no derivative callback: central differences carry the correction terms
+def test_emf_residual_is_the_first_omitted_term():
     z = 0.1
-    report = euler_maclaurin(lambda t: cmath.exp(-t), 0.0, z, R=1)
+    report = euler_maclaurin(_exp, 0.0, z, R=1, derivative=_dexp)
     assert report.correction_terms[0] == pytest.approx(z / 12, rel=1e-8)
     # the residual should be dominated by the first omitted term,
     # -B_4/4! z^3 f'''(0) = -z^3/720
@@ -262,7 +261,7 @@ def test_emf_finite_difference_fallback():
 
 def test_emf_complex_ray():
     z = 0.4 + 0.2j
-    report = euler_maclaurin(lambda t: cmath.exp(-t), 0.0, z, R=2)
+    report = euler_maclaurin(_exp, 0.0, z, R=2, derivative=_dexp)
     expected = 1 / (1 - cmath.exp(-z))
     assert report.sum_value == pytest.approx(expected, rel=1e-12)
     assert abs(report.residual) < 1e-5
@@ -270,8 +269,10 @@ def test_emf_complex_ray():
 
 def test_emf_rejects_growth_and_bad_args():
     with pytest.raises(ArithmeticError):
-        euler_maclaurin(lambda t: cmath.exp(t), 0.0, 0.5, R=1)
+        euler_maclaurin(cmath.exp, 0.0, 0.5, R=1, derivative=lambda m, x: cmath.exp(x))
     with pytest.raises(ValueError):
-        euler_maclaurin(lambda t: cmath.exp(-t), 0.0, 0.0, R=1)
+        euler_maclaurin(_exp, 0.0, 0.0, R=1, derivative=_dexp)
     with pytest.raises(ValueError):
-        euler_maclaurin(lambda t: cmath.exp(-t), 0.0, 0.5, R=-1)
+        euler_maclaurin(_exp, 0.0, 0.5, R=-1, derivative=_dexp)
+    with pytest.raises(TypeError):
+        euler_maclaurin(_exp, 0.0, 0.5, R=1)  # the derivative is required
