@@ -5,9 +5,10 @@ The package splits into five layers:
 * :mod:`paritylab.exact` — packed big-integer engines for the exact
   joint distribution of the parity difference over partitions into distinct
   parts, plus the tail counts and bias values read off a distribution.
-* :mod:`paritylab.specialfn` — the special functions the estimates need
-  (complementary error function, Bernoulli polynomials, dilogarithm and
-  relatives, the Euler–Maclaurin ray formula).
+* :mod:`paritylab.specialfn` — the special functions: the complementary
+  error function, the only one the estimates need; Bernoulli numbers, which
+  serve the Euler–Maclaurin ray formula, and Bernoulli polynomials; the
+  dilogarithm and its relatives, which serve the checks.
 * :mod:`paritylab.distribution` — normalized histograms, the limiting
   Gaussian and bias densities, Kolmogorov–Smirnov distances, bias profiles.
 * :mod:`paritylab.asymptotics` — the two-term estimates, boundary data,

@@ -4,21 +4,23 @@ The tail count with threshold c0 * n^{1/4} grows like e^{pi sqrt(n/3)}, far
 beyond double range for interesting n, so every estimate lives in
 LogScaledValue form (sign + natural log of the magnitude).
 
-Two equivalent closed forms are implemented:
+Two equivalent closed forms are implemented, and they share their terms:
+one main-term and one second-term function serve both.
 
 * estimate_thm1: a sum over residue tuples l in {0..N-1}^N with
-  N H(l) == n (mod N).  Each tuple contributes the same erfc main term and a
-  second term driven by the boundary fraction partial* of that tuple, which
+  N H(l) == n (mod N).  The N^{N-1} tuples split the main term evenly, and
+  each carries a second term driven by its boundary fraction partial*, which
   depends on the tuple only through its delta class [l_alpha - l_beta -
   ceil]_N; the tuples are counted per class, not enumerated.
 * estimate_thm2: the aggregated two-term form available for N = 2 and
   5 <= N <= 6, with the tuple sum collapsed into the single coefficient
   (beta - alpha + N - 2 N partial).
 
-Both agree to ~1e-12 relative at moderate thresholds.  At far thresholds,
-where erfc underflows, the signed sum over delta classes in estimate_thm1
-loses ulps to cancellation, and the two agree to ~3e-11 relative (measured
-at c0 = 50, N = 6, n = 500).  The test suite compares them in both regimes.
+Their main terms are equal bit for bit.  The second terms agree to ~1e-12
+relative at moderate thresholds.  At far thresholds, where erfc underflows,
+the signed sum over delta classes in estimate_thm1 loses ulps to
+cancellation, and the second terms agree to ~3e-11 relative (measured at
+c0 = 50, N = 6, n = 500).  The test suite compares them in both regimes.
 
 Also here: Hua's main term for d(n), the bias main term, the expansion
 coefficients T_{A,B,r} of the saddle-point contour integral together with a
@@ -34,8 +36,8 @@ import math
 from functools import lru_cache
 from typing import TYPE_CHECKING, Sequence
 
-from .exact import ParitySpec, _finite_ceil, _FrozenRecord, _require_span_one
-from .specialfn import _SQRT_PI, _erfc_cf, erfc
+from .exact import ParitySpec, _finite_ceil, _Record, _require_span_one
+from .specialfn import _Q3, _SQRT3, _SQRT_PI, _erfc_cf, erfc
 
 if TYPE_CHECKING:
     from fractions import Fraction
@@ -64,16 +66,13 @@ __all__ = [
 # a residue tuple is a plain tuple (l_1, ..., l_N), entries in 0..N-1
 ResidueTuple = tuple[int, ...]
 
-_SQRT3 = math.sqrt(3.0)
-_Q3 = 3.0**0.25  # 3^{1/4}
-
 
 # ---------------------------------------------------------------------------
 # log-scaled arithmetic
 # ---------------------------------------------------------------------------
 
 
-class LogScaledValue(_FrozenRecord):
+class LogScaledValue(_Record):
     """A real number stored as (sign, log|value|); sign 0 means exactly zero.
 
     Multiplication adds logs; addition is a signed log-sum-exp.  Quantities of
@@ -87,6 +86,8 @@ class LogScaledValue(_FrozenRecord):
     def __post_init__(self) -> None:
         if self.sign not in (-1, 0, 1):
             raise ValueError("sign must be -1, 0 or +1")
+        if math.isnan(self.log_abs):
+            raise ValueError("log_abs must not be NaN")
         if (self.sign == 0) != (self.log_abs == -math.inf):
             raise ValueError("sign 0 must pair with the -inf log sentinel")
 
@@ -146,7 +147,7 @@ class LogScaledValue(_FrozenRecord):
         return self.sign * math.exp(self.log_abs - math.log(exact))
 
 
-class EstimateTerms(_FrozenRecord):
+class EstimateTerms(_Record):
     """Two-term asymptotic estimate: main, second, and their log-space total."""
 
     __slots__ = ("main", "second", "total")
@@ -155,7 +156,7 @@ class EstimateTerms(_FrozenRecord):
     total: LogScaledValue
 
 
-class BoundaryData(_FrozenRecord):
+class BoundaryData(_Record):
     """Boundary-fraction bookkeeping for the threshold c0 * n^{1/4}.
 
     partial      is ceil(c0 n^{1/4}) - c0 n^{1/4} in [0, 1);
@@ -192,10 +193,7 @@ def H_value(m: Sequence[int], N: int) -> Fraction:
 
     if len(m) != N:
         raise ValueError("m must have length N")
-    acc = Fraction(0)
-    for j, mj in enumerate(m, start=1):
-        acc += Fraction(mj * mj, 2) + (Fraction(j, N) - Fraction(1, 2)) * mj
-    return acc
+    return Fraction(nh_value(m, N), N)
 
 
 def residue_tuples(n: int, N: int) -> list[ResidueTuple]:
@@ -353,19 +351,21 @@ def _log_scaled(sign: int, log_abs: float) -> LogScaledValue:
     return LogScaledValue(sign, log_abs)
 
 
-def _second_term(
-    n: int, N: int, beta_minus_alpha: int, partial_star: float, c0: float
-) -> LogScaledValue:
-    # e^{-c0^2 pi N/(4 sqrt 3)} (N^2 - 2 partial* N + (beta-alpha))
-    #   / (16 sqrt 3 N^{N-1/2}) * n^{-1/4}, times the shared prefactor
-    coef = N * N - 2.0 * partial_star * N + beta_minus_alpha
+def _main_term(n: int, N: int, c0: float) -> LogScaledValue:
+    # erfc(c0 sqrt(pi N)/(2 * 3^{1/4})) / (8 * 3^{1/4}), times the shared prefactor
+    log_erfc = _log_erfc(c0 * math.sqrt(math.pi * N) / (2.0 * _Q3))
+    return _log_scaled(1, log_erfc - math.log(8.0 * _Q3) + _log_prefactor(n))
+
+
+def _second_term(n: int, N: int, c0: float, coef: float, log_den: float) -> LogScaledValue:
+    # e^{-c0^2 pi N/(4 sqrt 3)} coef / e^{log_den} * n^{-1/4}, times the shared
+    # prefactor; a zero coef gives an exact zero
     if coef == 0.0:
         return LogScaledValue.zero()
     log_mag = (
         -c0 * c0 * math.pi * N / (4.0 * _SQRT3)
         + math.log(abs(coef))
-        - math.log(16.0 * _SQRT3)
-        - (N - 0.5) * math.log(N)
+        - log_den
         - 0.25 * math.log(n)
         + _log_prefactor(n)
     )
@@ -375,37 +375,33 @@ def _second_term(
 def estimate_thm1(n: int, spec: ParitySpec, c0: float) -> EstimateTerms:
     """Two-term estimate as the sum over admissible residue tuples.
 
-    Every tuple carries the same main term
-    erfc(c0 sqrt(pi N)/(2 * 3^{1/4})) / (8 * 3^{1/4} N^{N-1}) and a second
-    term that depends on the tuple only through its boundary fraction
-    partial*, so through delta = [l_a - l_b - ceil]_N alone.  The sum takes
-    the number of tuples in each delta class (see _delta_class_counts): one
-    second term and one stable addition per class, and no tuple enumerated.
+    The N^{N-1} admissible tuples (sum_delta counts[delta] = N^{N-1}) each
+    carry 1/N^{N-1} of the main term, so their sum is estimate_thm2's main
+    term.  Each tuple's second term
+    e^{-c0^2 pi N/(4 sqrt 3)} (N^2 - 2 partial* N + (beta-alpha))
+    / (16 sqrt 3 N^{N-1/2}) * n^{-1/4}, times the shared prefactor, depends on
+    the tuple only through its boundary fraction partial*, so through
+    delta = [l_a - l_b - ceil]_N alone.  The sum takes the number of tuples in
+    each delta class (see _delta_class_counts): one second term and one
+    stable addition per class, and no tuple enumerated.
     """
     N = spec.N
     if not 2 <= N <= 6:
         raise ValueError("estimates support 2 <= N <= 6")
     if n < 1:
         raise ValueError("n must be >= 1")
-    bma = spec.beta - spec.alpha
-    log_pref = _log_prefactor(n)
+    main = _main_term(n, N, c0)
 
-    log_erfc = _log_erfc(c0 * math.sqrt(math.pi * N) / (2.0 * _Q3))
-    log_main_per_tuple = (
-        log_erfc - math.log(8.0 * _Q3) - (N - 1) * math.log(N) + log_pref
-    )
-
-    t = c0 * n**0.25
-    ceil_c, partial = guarded_ceil(t)
-
+    ceil_c, partial = guarded_ceil(c0 * n**0.25)
     counts = _delta_class_counts(N, spec.alpha, spec.beta, n % N, ceil_c % N)
-    main_total = _log_scaled(1, log_main_per_tuple + math.log(sum(counts)))
-    second_total = LogScaledValue.zero()
+    log_den = math.log(16.0 * _SQRT3) + (N - 0.5) * math.log(N)
+    second = LogScaledValue.zero()
     for d, count in enumerate(counts):
         if count:
-            term = _second_term(n, N, bma, partial + d, c0)
-            second_total = second_total.plus(term.scaled(float(count)))
-    return EstimateTerms(main_total, second_total, main_total.plus(second_total))
+            coef = N * N - 2.0 * (partial + d) * N + (spec.beta - spec.alpha)
+            term = _second_term(n, N, c0, coef, log_den)
+            second = second.plus(term.scaled(float(count)))
+    return EstimateTerms(main, second, main.plus(second))
 
 
 def estimate_thm2(n: int, spec: ParitySpec, c0: float) -> EstimateTerms:
@@ -415,32 +411,20 @@ def estimate_thm2(n: int, spec: ParitySpec, c0: float) -> EstimateTerms:
     second = e^{-c0^2 pi N/(4 sqrt 3)} (beta - alpha + N - 2 N partial)
              / (16 sqrt(3N)) * n^{-1/4}   times the same prefactor.
 
-    Matches the tuple-sum route to ~1e-12 relative at moderate thresholds and
-    to ~3e-11 at far thresholds, where erfc underflows (c0 = 50, N = 6,
-    n = 500), because estimate_thm1's signed sum loses ulps there.
+    Its main term is estimate_thm1's exactly.  The second terms match to
+    ~1e-12 relative at moderate thresholds and to ~3e-11 at far thresholds,
+    where erfc underflows (c0 = 50, N = 6, n = 500), because estimate_thm1's
+    signed sum loses ulps there.
     """
     N = spec.N
     if N not in (2, 5, 6):
         raise ValueError("the aggregated form needs N = 2 or 5 <= N <= 6")
     if n < 1:
         raise ValueError("n must be >= 1")
-    log_pref = _log_prefactor(n)
-    log_erfc = _log_erfc(c0 * math.sqrt(math.pi * N) / (2.0 * _Q3))
-    main = _log_scaled(1, log_erfc - math.log(8.0 * _Q3) + log_pref)
-
+    main = _main_term(n, N, c0)
     _, partial = guarded_ceil(c0 * n**0.25)
     coef = (spec.beta - spec.alpha) + N - 2.0 * N * partial
-    if coef == 0.0:
-        second = LogScaledValue.zero()
-    else:
-        log_mag = (
-            -c0 * c0 * math.pi * N / (4.0 * _SQRT3)
-            + math.log(abs(coef))
-            - math.log(16.0 * math.sqrt(3.0 * N))
-            - 0.25 * math.log(n)
-            + log_pref
-        )
-        second = _log_scaled(1 if coef > 0 else -1, log_mag)
+    second = _second_term(n, N, c0, coef, math.log(16.0 * math.sqrt(3.0 * N)))
     return EstimateTerms(main, second, main.plus(second))
 
 

@@ -29,7 +29,7 @@ from functools import partial
 from typing import Mapping
 
 from .asymptotics import nr_coefficient, nr_contour_integral
-from .exact import _FrozenRecord
+from .exact import _Record
 from .specialfn import euler_maclaurin, lambda_y, s_of_y
 
 __all__ = [
@@ -45,7 +45,7 @@ __all__ = [
 ]
 
 
-class CheckResult(_FrozenRecord):
+class CheckResult(_Record):
     """Machine-readable verdict: passed iff `observed` satisfies the check's
     comparison against `bound` (most checks: observed <= bound; the
     negativity check: observed > bound) and every other condition the check

@@ -87,8 +87,8 @@ CEILING_ENV_VAR = "PARITY_LAB_CEILING"
 OUTPUT_FORMATS = ("csv", "json")
 
 
-class UsageError(Exception):
-    """Invalid flag/config combination; maps to exit code 2."""
+class UsageError(ValueError):
+    """Invalid flag/config combination; maps to exit code 2, as every ValueError."""
 
 
 class CeilingExceeded(Exception):
@@ -499,9 +499,6 @@ def main(argv: Sequence[str] | None = None) -> int:
         return _DISPATCH[args.command](args, sys.stdout)
     except SystemExit as exc:  # argparse: --help exits 0, a usage error 2
         return int(exc.code or 0)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except CeilingExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

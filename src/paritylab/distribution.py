@@ -15,12 +15,12 @@ import math
 from .exact import (
     ParitySpec,
     PdDistribution,
-    _FrozenRecord,
+    _Record,
     _require_span_one,
     lattice_span,
     m_max,
 )
-from .specialfn import erfc
+from .specialfn import _Q3, _SQRT3, erfc
 
 __all__ = [
     "NormalizedHistogram",
@@ -35,11 +35,8 @@ __all__ = [
     "bias_support_bound",
 ]
 
-_SQRT3 = math.sqrt(3.0)
-_Q3 = 3.0**0.25
 
-
-class NormalizedHistogram(_FrozenRecord):
+class NormalizedHistogram(_Record):
     """Area-1 histogram of the rescaled parity differences x = k n^{-1/4}.
 
     points holds (x, density) with density = f(k) n^{1/4} / (h d(n)), where
@@ -55,7 +52,7 @@ class NormalizedHistogram(_FrozenRecord):
     mode: float
 
 
-class BiasProfile(_FrozenRecord):
+class BiasProfile(_Record):
     """Exact bias values pb(c) = f(c) - f(-c) for c = 0..max level.
 
     normalizer is the aggregate bias (tail count with threshold 0, minus the
@@ -209,4 +206,6 @@ def bias_cumulative_ratio(dist: PdDistribution, a: float, b: float) -> float:
 
 def bias_support_bound(n: int) -> float:
     """The x beyond which the bias profile is identically zero: m_max(n) n^{-1/4}."""
+    if n < 1:
+        raise ValueError("the support bound needs n >= 1")
     return m_max(n) * n**-0.25

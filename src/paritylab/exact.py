@@ -151,9 +151,8 @@ class _Record:
     required.  The record gets positional and keyword construction, the repr
     Name(field=value, ...), field-by-field equality with records of the same
     class, and a call to __post_init__, where it can validate its fields.  A
-    _Record is mutable and unhashable; a _FrozenRecord refuses assignment and
-    hashes its fields.
-    These are the semantics of a frozen or plain dataclass, with no import of
+    record refuses assignment and deletion of its fields and hashes them.
+    These are the semantics of a frozen dataclass, with no import of
     the dataclass machinery (which loads inspect, ast and dis, ~12 ms) and no
     code generated per class at import (~1 ms each).
     """
@@ -196,14 +195,8 @@ class _Record:
         return self._values() == other._values()
 
     def __reduce__(self) -> tuple:
-        # rebuild through __init__, which a frozen record's __setattr__ allows
+        # rebuild through __init__, which sets the fields past __setattr__
         return type(self), self._values()
-
-
-class _FrozenRecord(_Record):
-    """A _Record whose fields cannot be reassigned or deleted; it hashes them."""
-
-    __slots__ = ()
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -220,7 +213,7 @@ class _FrozenRecord(_Record):
 # ---------------------------------------------------------------------------
 
 
-class Partition(_FrozenRecord):
+class Partition(_Record):
     """A partition into distinct parts: strictly decreasing positive parts."""
 
     __slots__ = ("parts", "n")
@@ -240,7 +233,7 @@ class Partition(_FrozenRecord):
         return cls(tuple(parts), sum(parts))
 
 
-class ParitySpec(_FrozenRecord):
+class ParitySpec(_Record):
     """Modulus N >= 2 and the two residue classes alpha != beta in 1..N."""
 
     __slots__ = ("N", "alpha", "beta")
@@ -260,7 +253,7 @@ class ParitySpec(_FrozenRecord):
         return ParitySpec(self.N, self.beta, self.alpha)
 
 
-class PdDistribution(_FrozenRecord):
+class PdDistribution(_Record):
     """Exact counts f(k) of distinct-part partitions of n by parity difference k.
 
     Only nonzero counts are stored; keys are in ascending k order.  The counts

@@ -43,6 +43,8 @@ __all__ = [
 ]
 
 _SQRT_PI = math.sqrt(math.pi)
+_SQRT3 = math.sqrt(3.0)
+_Q3 = 3.0**0.25  # 3^{1/4}
 _PI2_6 = math.pi * math.pi / 6.0
 _LOG2 = math.log(2.0)
 

@@ -71,6 +71,16 @@ def test_log_scaled_plus_matches_float_addition(a, b):
     assert s == pytest.approx(expected, rel=1e-12, abs=1e-9 * (abs(a) + abs(b) + 1))
 
 
+@pytest.mark.parametrize(
+    "build",
+    [lambda: LogScaledValue(1, math.nan), lambda: LogScaledValue.from_float(math.nan)],
+    ids=["constructor", "from_float"],
+)
+def test_log_scaled_refuses_a_nan_log(build):
+    with pytest.raises(ValueError, match="NaN"):
+        build()
+
+
 def test_log_scaled_algebra():
     x = LogScaledValue.from_float(3.0)
     assert x.plus(LogScaledValue.zero()) == x
@@ -92,10 +102,20 @@ def test_log_scaled_cancellation_to_zero():
 # ---------------------------------------------------------------------------
 
 
+def _h_by_definition(m, N):
+    # H(m) = (1/2) m.m + b.m with b_j = j/N - 1/2, term by term in rationals
+    acc = Fraction(0)
+    for j, mj in enumerate(m, start=1):
+        acc += Fraction(mj * mj, 2) + (Fraction(j, N) - Fraction(1, 2)) * mj
+    return acc
+
+
 def test_nh_is_n_times_h_exactly():
     for N in (2, 3):
-        for l in __import__("itertools").product(range(N), repeat=N):
-            assert Fraction(nh_value(l, N)) == N * H_value(l, N)
+        for l in itertools.product(range(N), repeat=N):
+            h = _h_by_definition(l, N)
+            assert H_value(l, N) == h
+            assert Fraction(nh_value(l, N)) == N * h
 
 
 @given(st.integers(min_value=2, max_value=6), st.data())
@@ -104,9 +124,10 @@ def test_nh_integrality_random(N, data):
     l = tuple(
         data.draw(st.integers(min_value=0, max_value=N - 1)) for _ in range(N)
     )
-    h = H_value(l, N)
+    h = _h_by_definition(l, N)
     assert (N * h).denominator == 1
     assert nh_value(l, N) == N * h
+    assert H_value(l, N) == h
 
 
 def test_h_value_length_check():
@@ -268,6 +289,16 @@ def test_thm1_equals_thm2_where_erfc_underflows(N):
         assert t1.main.log_abs == pytest.approx(t2.main.log_abs, abs=1e-12)
         assert t1.total.sign == t2.total.sign != 0
         assert t1.total.log_abs == pytest.approx(t2.total.log_abs, rel=1e-12)
+
+
+def test_thm1_main_term_is_thm2_main_term_exactly():
+    # the N^{N-1} admissible tuples split one main term, so the two forms
+    # share it bit for bit, for every class pair and at far thresholds too
+    for N in (2, 5, 6):
+        for alpha, beta in itertools.permutations(range(1, N + 1), 2):
+            spec = ParitySpec(N, alpha, beta)
+            for n, c0 in itertools.product((1, 7, 500, 3001), (0.0, -0.75, 0.5, 2.5, 50.0)):
+                assert estimate_thm1(n, spec, c0).main == estimate_thm2(n, spec, c0).main
 
 
 def test_thm2_domain():

@@ -251,3 +251,11 @@ def test_bias_support_bound():
     assert top <= m_max(200)
     # b at the support bound already captures everything
     assert bias_cumulative_ratio(dist, 0.0, bias_support_bound(200)) == 1.0
+
+
+@pytest.mark.parametrize("n", [0, -1])
+def test_bias_support_bound_needs_a_positive_weight(n):
+    # as every other weight check of the limit-law views: a ValueError, not
+    # the ZeroDivisionError of 0 ** -0.25
+    with pytest.raises(ValueError, match="n >= 1"):
+        bias_support_bound(n)

@@ -1,8 +1,8 @@
 """The package's records behave as the dataclasses they replaced.
 
-Each record is checked against a dataclass twin made here with the same
-fields and frozenness: repr text, equality, hash, immutability, positional
-and keyword construction.
+Every record is frozen.  Each is checked against a frozen dataclass twin made
+here with the same fields: repr text, equality, hash, immutability,
+positional and keyword construction.
 """
 
 import copy
@@ -28,23 +28,23 @@ SPEC = ParitySpec(2, 1, 2)
 LSV = LogScaledValue(1, 2.5)
 
 
-# (record, frozen, sample fields, the same record with one field changed)
+# (record, sample fields, the same record with one field changed)
 RECORDS = [
-    (Partition, True, ((3, 1), 4), ((4,), 4)),
-    (ParitySpec, True, (5, 1, 2), (5, 2, 1)),
-    (PdDistribution, True, (5, SPEC, {0: 2, 1: 1}), (5, SPEC, {0: 3})),
-    (NormalizedHistogram, True, (10, SPEC, [(0.5, 0.25)], 0.5), (10, SPEC, [(0.5, 0.25)], -0.5)),
-    (BiasProfile, True, (10, SPEC, [(0, 0), (1, 2)], 2), (11, SPEC, [(0, 0), (1, 2)], 2)),
-    (EmfReport, False, (1j, 2j, 0.5, [0.25j], 1e-3), (1j, 2j, 0.5, [], 1e-3)),
-    (LogScaledValue, True, (1, 2.5), (-1, 2.5)),
-    (EstimateTerms, True, (LSV, LSV, LSV), (LSV, LSV, LogScaledValue.zero())),
-    (BoundaryData, True, (0.25, 1.25, 3, 2), (0.25, 1.25, 3, 3)),
-    (CheckResult, True, ("check_x", True, 0.5, 1.0, 3, "notes"), ("check_x", False, 1.5, 1.0, 3, "notes")),
+    (Partition, ((3, 1), 4), ((4,), 4)),
+    (ParitySpec, (5, 1, 2), (5, 2, 1)),
+    (PdDistribution, (5, SPEC, {0: 2, 1: 1}), (5, SPEC, {0: 3})),
+    (NormalizedHistogram, (10, SPEC, [(0.5, 0.25)], 0.5), (10, SPEC, [(0.5, 0.25)], -0.5)),
+    (BiasProfile, (10, SPEC, [(0, 0), (1, 2)], 2), (11, SPEC, [(0, 0), (1, 2)], 2)),
+    (EmfReport, (1j, 2j, 0.5, [0.25j], 1e-3), (1j, 2j, 0.5, [], 1e-3)),
+    (LogScaledValue, (1, 2.5), (-1, 2.5)),
+    (EstimateTerms, (LSV, LSV, LSV), (LSV, LSV, LogScaledValue.zero())),
+    (BoundaryData, (0.25, 1.25, 3, 2), (0.25, 1.25, 3, 3)),
+    (CheckResult, ("check_x", True, 0.5, 1.0, 3, "notes"), ("check_x", False, 1.5, 1.0, 3, "notes")),
 ]
 
 
-def _twin(record, frozen):
-    twin = dataclasses.make_dataclass(record.__name__, record.__slots__, frozen=frozen)
+def _twin(record):
+    twin = dataclasses.make_dataclass(record.__name__, record.__slots__, frozen=True)
     twin.__qualname__ = record.__qualname__
     return twin
 
@@ -57,12 +57,12 @@ def _hash_or_error(obj):
 
 
 @pytest.mark.parametrize(
-    "record, frozen, values, other", RECORDS, ids=[entry[0].__name__ for entry in RECORDS]
+    "record, values, other", RECORDS, ids=[entry[0].__name__ for entry in RECORDS]
 )
-def test_record_behaves_as_its_dataclass_twin(record, frozen, values, other):
+def test_record_behaves_as_its_dataclass_twin(record, values, other):
     # the annotations document the fields' types, in the fields' order
     assert tuple(record.__annotations__) == record.__slots__
-    twin = _twin(record, frozen)
+    twin = _twin(record)
     rec = record(*values)
     assert repr(rec) == repr(twin(*values))
     # keyword construction, equality by value, not by identity or class
@@ -70,26 +70,21 @@ def test_record_behaves_as_its_dataclass_twin(record, frozen, values, other):
     assert record(*values) == rec and not record(*values) != rec
     assert record(*other) != rec
     assert rec != twin(*values) and rec != values
-    # frozen records hash their fields, or fail on an unhashable one, as the twin does
-    twin_hash = _hash_or_error(twin(*values))
-    assert _hash_or_error(rec) == (twin_hash if frozen else f"unhashable type: '{record.__name__}'")
+    # a record hashes its fields, or fails on an unhashable one, as the twin does
+    assert _hash_or_error(rec) == _hash_or_error(twin(*values))
     field = record.__slots__[0]
-    if frozen:
-        with pytest.raises(AttributeError, match="cannot assign"):
-            setattr(rec, field, values[0])
-        with pytest.raises(AttributeError, match="cannot delete"):
-            delattr(rec, field)
-        assert rec == record(*values)
-    else:
-        setattr(rec, field, other[0])
-        assert getattr(rec, field) is other[0]
+    with pytest.raises(AttributeError, match="cannot assign"):
+        setattr(rec, field, values[0])
+    with pytest.raises(AttributeError, match="cannot delete"):
+        delattr(rec, field)
+    assert rec == record(*values)
     with pytest.raises(AttributeError):
         rec.not_a_field = 1
 
 
 @pytest.mark.parametrize(
     "record, values",
-    [(record, values) for record, _, values, _ in RECORDS],
+    [(record, values) for record, values, _ in RECORDS],
     ids=[entry[0].__name__ for entry in RECORDS],
 )
 def test_record_survives_pickle_and_copy(record, values):
