@@ -101,13 +101,9 @@ class LogScaledValue(_Record):
             return cls.zero()
         return cls(1 if x > 0 else -1, math.log(abs(x)))
 
-    @classmethod
-    def from_int(cls, x: int) -> "LogScaledValue":
-        # math.log of a big int is computed from its bit length and leading
-        # bits, so this stays accurate for values far beyond double range
-        if x == 0:
-            return cls.zero()
-        return cls(1 if x > 0 else -1, math.log(abs(x)))
+    # math.log of a big int is computed from its bit length and leading bits,
+    # so the same body stays accurate for ints far beyond double range
+    from_int = from_float
 
     def times(self, other: "LogScaledValue") -> "LogScaledValue":
         if self.sign == 0 or other.sign == 0:
@@ -449,8 +445,8 @@ def estimate_bias(n: int, spec: ParitySpec) -> LogScaledValue:
     _require_span_one(spec, "the bias estimate")
     bma = spec.beta - spec.alpha
     log_mag = (
-        math.pi * math.sqrt(n / 3.0)
-        - math.log(n)
+        _log_prefactor(n)
+        - 0.25 * math.log(n)
         + math.log(abs(bma))
         - math.log(8.0 * math.sqrt(3.0 * spec.N))
     )

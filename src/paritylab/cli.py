@@ -28,7 +28,8 @@ from typing import TYPE_CHECKING, Callable, Sequence, TextIO
 
 from .exact import (
     ParitySpec,
-    lattice_span,
+    PdDistribution,
+    _require_span_one,
     pd_distribution,
     # not called here: perfbench/tracejob.py wraps this name, until ROADMAP item 1
     # spans the tail engine instead
@@ -71,15 +72,9 @@ def __getattr__(name: str):
     _bind(_LAYER_OF[name])
     return globals()[name]
 
-# a weight above this needs explicit opt-in.  Measured end to end, import
-# included, for N = 2 (2-CPU VM, CPython 3.11): `count` and `compare` run the
-# tail pass (one Horner pass per distinct threshold, whatever the number of
-# weights printed), ~0.15 s and 18 MB peak RSS at 3000 and ~0.2 s and 25 MB
-# at 5000 for `count`; `compare` adds a second pass and one estimate per
-# printed weight (~0.8 s for every weight up to 5000).  `dist` and `bias` run
-# the class-factored engine at one weight, ~0.12 s and 17 MB at 3000 and
-# ~0.25 s and 20 MB at 5000.
-# The threshold is the command-line contract, not a cost any engine needs
+# a weight above this needs explicit opt-in (--huge).  The threshold is the
+# command-line contract, not a cost any engine needs; README's "Resource
+# guards" gives the measured costs
 HUGE_THRESHOLD = 3000
 # the exact-compute budget: no weight above it runs, whatever the flags
 DEFAULT_CEILING = 5000
@@ -189,8 +184,7 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--huge",
         action="store_true",
-        help=f"acknowledge a weight above {HUGE_THRESHOLD} "
-        "(for N = 2 at 5000: count ~0.2 s, compare 0.2-0.8 s, dist and bias ~0.25 s)",
+        help=f"acknowledge a weight above {HUGE_THRESHOLD}",
     )
     parser.add_argument(
         "--only", metavar="NAME", help="verify: run checks whose name starts with NAME"
@@ -251,10 +245,7 @@ def _parse(argv: list[str]) -> argparse.Namespace:
         # later flags win, so the command line overrides the file
         args = parser.parse_args(flags + argv)
     args.tolerances = tolerances
-    try:
-        args.spec = ParitySpec(N=args.N, alpha=args.alpha, beta=args.beta)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
+    args.spec = ParitySpec(N=args.N, alpha=args.alpha, beta=args.beta)
     for name in ("c0", "c"):
         value = getattr(args, name)
         if not math.isfinite(value):
@@ -282,12 +273,10 @@ def _fmt_threshold(c: float) -> str:
     return repr(float(c))
 
 
-def _resolve_weights(args: argparse.Namespace, single_only: bool = False) -> range:
+def _resolve_weights(args: argparse.Namespace) -> range:
     """The requested weights, ascending: one for --n, the sweep for --n-range."""
     if args.n is not None and args.n_range is not None:
         raise UsageError("give either --n or --n-range, not both")
-    if single_only and args.n is None:
-        raise UsageError("this subcommand needs a single --n")
     if args.n is not None:
         ns = range(args.n, args.n + 1)
     elif args.n_range is not None:
@@ -307,26 +296,27 @@ def _resolve_weights(args: argparse.Namespace, single_only: bool = False) -> ran
             f"(budget; raise {CEILING_ENV_VAR} to lift it)"
         )
     if top > HUGE_THRESHOLD and not args.huge:
-        # name the engine the command will run for these weights
-        if single_only:
-            cost = (
-                "dist and bias run the class-factored engine at one weight: for "
-                "N = 2, import included, about 0.12 s and 17 MB peak RSS at "
-                "n = 3000 and 0.25 s and 20 MB at n = 5000"
-            )
-        else:
-            cost = (
-                "count and compare run the tail pass, one Horner pass per distinct "
-                "threshold whatever the number of weights printed: for N = 2, "
-                "import included, about 0.15 s and 18 MB peak RSS at n = 3000 and "
-                "0.2 s and 25 MB at n = 5000; compare adds a second pass and one "
-                "estimate per printed weight, about 0.8 s for every weight up to 5000"
-            )
         raise UsageError(
             f"n = {top} is above the desk-scale threshold {HUGE_THRESHOLD}; "
-            f"pass --huge to acknowledge.  {cost}"
+            "pass --huge to acknowledge"
         )
     return ns
+
+
+def _one_weight(args: argparse.Namespace) -> PdDistribution:
+    """The exact distribution at the single --n of dist and bias.
+
+    The limit law is asked first, so a modulus it refuses (pi * N overflows
+    a float) exits before the exact pass runs.
+    """
+    if args.n is None:
+        raise UsageError("this subcommand needs a single --n")
+    n = _resolve_weights(args)[0]
+    if n < 1:
+        raise UsageError(f"{args.command} needs n >= 1")
+    _bind(".distribution")
+    gaussian_density(0.0, args.spec.N)
+    return pd_distribution(n, args.spec)
 
 
 def _write(args: argparse.Namespace, text: str, out: TextIO) -> None:
@@ -374,8 +364,6 @@ def cmd_compare(args: argparse.Namespace, out: TextIO) -> int:
     ns = _resolve_weights(args)
     if any(n < 1 for n in ns):
         raise UsageError("compare needs weights >= 1")
-    if not math.isfinite(args.c0 * max(ns) ** 0.25):
-        raise UsageError(f"c0 * n^(1/4) overflows at c0 = {args.c0!r}")
     _bind(".asymptotics")
     swapped = args.spec.swapped()
     # the exact threshold uses the same near-integer-guarded ceiling as the
@@ -406,14 +394,7 @@ def cmd_compare(args: argparse.Namespace, out: TextIO) -> int:
 
 
 def cmd_dist(args: argparse.Namespace, out: TextIO) -> int:
-    ns = _resolve_weights(args, single_only=True)
-    n = ns[0]
-    if n < 1:
-        raise UsageError("dist needs n >= 1")
-    _bind(".distribution")
-    # the limit law refuses an N whose pi * N overflows: ask before the exact pass
-    gaussian_density(0.0, args.spec.N)
-    dist = pd_distribution(n, args.spec)
+    dist = _one_weight(args)
     hist = histogram_of(dist)
     peak = max(d for _, d in hist.points)
     rows = []
@@ -432,24 +413,10 @@ def cmd_dist(args: argparse.Namespace, out: TextIO) -> int:
 
 
 def cmd_bias(args: argparse.Namespace, out: TextIO) -> int:
-    spec = args.spec
-    span = lattice_span(spec)
-    if span > 1:
-        raise UsageError(
-            f"bias needs a class pair whose parity differences have span 1; "
-            f"(N, alpha, beta) = ({spec.N}, {spec.alpha}, {spec.beta}) keeps "
-            f"every pd at weight n in one residue class mod {span}, where the "
-            f"bias law does not hold"
-        )
-    ns = _resolve_weights(args, single_only=True)
-    n = ns[0]
-    if n < 1:
-        raise UsageError("bias needs n >= 1")
-    _bind(".distribution")
-    # the limit law refuses an N whose pi * N overflows: ask before the exact pass
-    bias_density(0.0, args.spec.N)
-    profile = bias_profile_of(pd_distribution(n, args.spec))
-    scale = n**-0.25
+    _require_span_one(args.spec, "the bias law")
+    dist = _one_weight(args)
+    profile = bias_profile_of(dist)
+    scale = dist.n**-0.25
     rows = []
     for c, pb in profile.points:
         x = c * scale

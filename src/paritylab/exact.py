@@ -71,10 +71,12 @@ neutral class.  Each job runs exactly one engine:
   replaced, in place and from the last down, by its suffix sum.  S_m has
   C_m's lowest degree and keeps the same limbs, so the shifts and masks
   carry over, and for c < 0 the first -c levels add S_0, so no d(s) and no
-  swapped pass is needed.  In process, at weights 1200-1430, one tail is
-  5 to 25 times faster than the family pass and its sums, and at one
-  weight it is faster than the class-factored engine (1.5 to 3 times at
-  2000-2340, 3 times at 10 000 for N = 2).
+  swapped pass is needed.  Each tail row is unpacked whole, like a family
+  row, and indexed at the weights that carry its threshold, so no buffer
+  depends on the step between them.  In process, at weights 1200-1430,
+  one tail is 5 to 25 times faster than the family pass and its sums, and
+  at one weight it is faster than the class-factored engine (1.5 to 3
+  times at 2000-2340, 3 times at 10 000 for N = 2).
 
 Limbs never overflow.  Every limb at degree s <= n of every packed series
 an engine builds (A_j, B_l, E_l, D, C_j, C'_l and every partial sum on
@@ -385,16 +387,13 @@ def _limb_width_bits(n: int) -> int:
     return ((bits + 7) // 8) * 8
 
 
-def _limbs(blob: bytes | memoryview, Wb: int, step: int = 1) -> list[int]:
-    """Every step-th little-endian Wb-byte limb of a byte string, lowest first.
+def _limbs(blob: bytes | bytearray, Wb: int) -> list[int]:
+    """The little-endian Wb-byte limbs of a byte string, lowest first.
 
-    len(blob) is a multiple of step * Wb.  The struct module caches the
-    compiled format, whose pad bytes skip the step - 1 limbs between two
-    that are read, and the maps keep the loop over limbs out of Python
-    bytecode.
+    len(blob) is a multiple of Wb.  The struct module caches the compiled
+    format, and the maps keep the loop over limbs out of Python bytecode.
     """
-    fmt = f"{Wb}s{(step - 1) * Wb}x"
-    chunks = map(operator.itemgetter(0), struct.iter_unpack(fmt, blob))
+    chunks = map(operator.itemgetter(0), struct.iter_unpack(f"{Wb}s", blob))
     return list(map(int.from_bytes, chunks, itertools.repeat("little")))
 
 
@@ -603,22 +602,6 @@ def _horner_row(
     return e, G
 
 
-def _limbs_at(G: int, e: int, n: int, W: int, weights: range) -> tuple[int, list[int]]:
-    """(i, limbs): the limbs of the packed series q^e G at weights[i], weights[i + 1], ...
-
-    G keeps limbs 0..n - e, and weights is a range with step >= 1 inside
-    0..n; i is the index of its first weight >= e, below which q^e G is 0.
-    """
-    Wb = W // 8
-    start, step = weights.start, weights.step
-    i = max(0, -((start - e) // step))
-    if i >= len(weights):
-        return i, []
-    lo = (weights[i] - e) * Wb  # its first byte in G; the bytes past G's top limb are 0
-    blob = G.to_bytes((n - e + step) * Wb, "little")
-    return i, _limbs(memoryview(blob)[lo : lo + (len(weights) - i) * step * Wb], Wb, step)
-
-
 # ---------------------------------------------------------------------------
 # every weight
 # ---------------------------------------------------------------------------
@@ -667,10 +650,9 @@ def pd_distribution_family(n_max: int, spec: ParitySpec) -> list[PdDistribution]
 
     Every packed series carries one limb per weight, so the whole family
     costs one pass at n_max: closed-form neutral and class columns, then one
-    Horner pass over the columns of one class per difference row (about
-    0.55 s at n_max = 3000 and 1.9 s at 5000 for N = 2, less for larger
-    N).  Each row is unpacked as soon as it is made, so no more than one
-    packed row is held at a time.
+    Horner pass over the columns of one class per difference row (see the
+    module docstring for its cost).  Each row is unpacked as soon as it is
+    made, so no more than one packed row is held at a time.
     """
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
@@ -695,9 +677,9 @@ def tail_counts(spec: ParitySpec, weights: range, thresholds: Sequence[float]) -
     `weights` is a range with step >= 1 and start >= 0, and `thresholds`
     holds one finite threshold per weight, in the same order.  One Horner
     pass at the top weight makes each distinct ceil(c) a packed tail row
-    with one limb per weight (see the module docstring), read only at the
-    weights that carry that threshold; no difference row and no
-    distribution is made.
+    with one limb per weight s <= n (see the module docstring), unpacked
+    whole and read at the weights that carry that threshold; no difference
+    row and no distribution is made.
     """
     if len(thresholds) != len(weights):
         raise ValueError(
@@ -717,18 +699,18 @@ def tail_counts(spec: ParitySpec, weights: range, thresholds: Sequence[float]) -
     for m in range(len(cols) - 2, max(min(kcs), 0) - 1, -1):
         # S_{m+1} keeps limbs 0..n - low_a[m+1], so shifted it fits C_m's
         cols[m] += cols[m + 1] << (low_a[m + 1] - low_a[m]) * W
-    first_last: dict[int, list[int]] = {}  # indices of the first and last weight of each ceil(c)
+    carriers: dict[int, list[int]] = {}  # the indices of the weights of each ceil(c)
     for i, kc in enumerate(kcs):
-        first_last.setdefault(kc, [i, i])[1] = i
+        carriers.setdefault(kc, []).append(i)
     counts = [0] * len(weights)
-    for kc, (first, last) in first_last.items():
+    for kc, indices in carriers.items():
         if kc >= len(cols):
             continue  # no column pair from column kc on reaches degree n
         e, G = _horner_row(kc, cols, low_a, low_b, spec, n, W)
-        i, limbs = _limbs_at(G, e, n, W, weights[first : last + 1])
-        for i, c in enumerate(limbs, first + i):
-            if kcs[i] == kc:
-                counts[i] = c
+        limbs = _unpack(G, W, n - e)  # limbs[s - e] is the tail at weight s >= e
+        for i in indices:
+            if weights[i] >= e:
+                counts[i] = limbs[weights[i] - e]
     return counts
 
 

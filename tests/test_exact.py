@@ -241,14 +241,15 @@ def test_family_consistent_with_single_runs():
         # for (2,1,2) the outer rows k = -16 and 17 start at degrees 272 and 289:
         range(280, 301, 4),  # starts between them
         range(250, 288, 3),  # ends below 289, so row 17 holds none of the weights
+        range(300, 301, 10**21),  # one weight, under a step no buffer can be sized by
     ],
-    ids=["strided", "dense", "from-0", "one", "outer-rows", "below-outer-rows"],
+    ids=["strided", "dense", "from-0", "one", "outer-rows", "below-outer-rows", "huge-step"],
 )
 @pytest.mark.parametrize("spec", [SPEC212, ParitySpec(3, 2, 3), ParitySpec(5, 1, 2)], ids=str)
 def test_family_at_requested_weights(spec, weights):
     # the family read at these weights is the packed DP's, and the tail
-    # engine, which reads its rows at the requested weights only, gives the
-    # family's tails there for every ceiling
+    # engine, which unpacks each tail row whole and indexes it at the
+    # requested weights, gives the family's tails there for every ceiling
     full = pd_distribution_family(300, spec)
     family = [full[s] for s in weights]
     ref = oracles.packed_dp_family(300, spec.N, spec.alpha, spec.beta)
