@@ -502,11 +502,20 @@ def test_env_ceiling_rejects_non_positive_or_non_integer(capsys, monkeypatch, va
     assert "PARITY_LAB_CEILING" in err and f"'{value}'" in err
 
 
+def test_huge_gate(capsys):
+    code, _, err = run_cli(capsys, "count", "--n", "3200", "--c", "0")
+    assert code == 2
+    assert "--huge" in err
+    code, out, _ = run_cli(capsys, "count", "--n", "3200", "--c", "0", "--huge")
+    assert code == 0
+    assert out.startswith("n,c,count\n3200,0,")
+
+
 @pytest.mark.parametrize(
     "argv, top",
     [
         (("count", "--n-range", "3000:4000:100", "--c", "0"), 4000),
-        (("count", "--n", "3200", "--c", "0"), 3200),
+        (("count", "--n", "4000", "--c", "0"), 4000),
         (("compare", "--n-range", "3000:4000", "--c0", "1"), 4000),
         (("dist", "--n", "4000"), 4000),
     ],
