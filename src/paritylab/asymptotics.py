@@ -12,9 +12,12 @@ one main-term and one second-term function serve both.
   each carries a second term driven by its boundary fraction partial*, which
   depends on the tuple only through its delta class [l_alpha - l_beta -
   ceil]_N; the tuples are counted per class, not enumerated.
-* estimate_thm2: the aggregated two-term form available for N = 2 and
-  5 <= N <= 6, with the tuple sum collapsed into the single coefficient
-  (beta - alpha + N - 2 N partial).
+* estimate_thm2: the aggregated two-term form, with the tuple sum collapsed
+  into the single coefficient (beta - alpha + N - 2 N partial).  It holds for
+  every class pair of span 1 (exact.lattice_span), at any N: there each delta
+  class holds N^{N-2} of the admissible tuples, so the tuple sum averages
+  delta to (N - 1)/2.  On the lattice pairs (3, {1, 2}) and (4, {1, 3}) the
+  tuples crowd into N/h classes, and estimate_thm2 raises.
 
 Their main terms are equal bit for bit.  The second terms agree to ~1e-12
 relative at moderate thresholds.  At far thresholds, where erfc underflows,
@@ -37,7 +40,7 @@ from functools import lru_cache
 from typing import TYPE_CHECKING, Sequence
 
 from .exact import ParitySpec, _finite_ceil, _Record, _require_span_one
-from .specialfn import _Q3, _SQRT3, _SQRT_PI, _erfc_cf, erfc
+from .specialfn import _Q3, _SQRT3, _SQRT_PI, _erfc_cf, _pi_n, erfc
 
 if TYPE_CHECKING:
     from fractions import Fraction
@@ -255,17 +258,17 @@ def n3_class_shift(r: int, s: int) -> int:
     For N = 3 and classes (1, 2), every tuple with 3 H(l) == r (mod 3) has
     l_1 - l_2 == r (mod 3), so the second-term shift depends only on
     (r, s) = (n mod 3, ceil(threshold) mod 3) and the 3x3 table collapses to
-    (r - s) mod 3.  Derived here by enumeration; raises if the collapse ever
-    fails to hold.
+    (r - s) mod 3.  Read off the delta class counts of estimate_thm1; raises
+    if the collapse ever fails to hold.
     """
     if not (0 <= r < 3 and 0 <= s < 3):
         raise ValueError("r and s must lie in 0..2")
-    shifts = {(l[0] - l[1] - s) % 3 for l in residue_tuples(r, 3)}
+    shifts = [d for d, count in enumerate(_delta_class_counts(3, 1, 2, r, s)) if count]
     if len(shifts) != 1:
         raise ArithmeticError(
             "admissible tuples for N=3 do not share a single class shift"
         )
-    return shifts.pop()
+    return shifts[0]
 
 
 # ---------------------------------------------------------------------------
@@ -401,22 +404,34 @@ def estimate_thm1(n: int, spec: ParitySpec, c0: float) -> EstimateTerms:
 
 
 def estimate_thm2(n: int, spec: ParitySpec, c0: float) -> EstimateTerms:
-    """Aggregated two-term estimate, valid for N = 2 and 5 <= N <= 6.
+    """Aggregated two-term estimate, valid for every class pair of span 1.
 
     main   = erfc(c0 sqrt(pi N)/(2*3^{1/4})) / (8*3^{1/4}) * e^{pi sqrt(n/3)} n^{-3/4}
     second = e^{-c0^2 pi N/(4 sqrt 3)} (beta - alpha + N - 2 N partial)
              / (16 sqrt(3N)) * n^{-1/4}   times the same prefactor.
 
+    Why span 1: position j adds N v(v-1)/2 + j v == j v (mod N) to N H(l).
+    Fixing delta = [l_a - l_b - s]_N sets l_a = l_b + delta + s, and the
+    congruence N H(l) == n then reads (alpha + beta) l_b + sum_free j l_j ==
+    n - alpha (delta + s) (mod N).  Its left side is uniform on Z_N exactly
+    when gcd(N, alpha + beta, free j) = 1, which is lattice_span(spec) = 1;
+    then every delta holds N^{N-2} tuples.  At N = 2 there is no free
+    position, and alpha + beta = 3 alone makes delta uniform.  A uniform delta
+    averages estimate_thm1's coefficient N^2 - 2N(partial + delta) +
+    (beta - alpha) to the one above, and N^{N-1} tuples over 16 sqrt 3
+    N^{N-1/2} give 1/(16 sqrt(3N)).
+
     Its main term is estimate_thm1's exactly.  The second terms match to
     ~1e-12 relative at moderate thresholds and to ~3e-11 at far thresholds,
     where erfc underflows (c0 = 50, N = 6, n = 500), because estimate_thm1's
-    signed sum loses ulps there.
+    signed sum loses ulps there.  Raises ValueError on a lattice pair and on
+    an N whose pi N overflows a float.
     """
     N = spec.N
-    if N not in (2, 5, 6):
-        raise ValueError("the aggregated form needs N = 2 or 5 <= N <= 6")
     if n < 1:
         raise ValueError("n must be >= 1")
+    _require_span_one(spec, "the aggregated two-term form")
+    _pi_n(N)
     main = _main_term(n, N, c0)
     _, partial = guarded_ceil(c0 * n**0.25)
     coef = (spec.beta - spec.alpha) + N - 2.0 * N * partial
@@ -437,20 +452,21 @@ def estimate_bias(n: int, spec: ParitySpec) -> LogScaledValue:
     (count with pd >= 0, alpha-beta order) - (same, beta-alpha order):
     e^{pi sqrt(n/3)} n^{-1} (beta - alpha) / (8 sqrt(3 N)).
 
+    It is the difference of estimate_thm2's two class orders at c0 = 0: the
+    main terms cancel and the coefficients (beta - alpha + N) and
+    (alpha - beta + N) leave 2 (beta - alpha).
+
     Raises ValueError on a lattice pair (exact.lattice_span > 1): there pd
     keeps one residue mod h at each weight, so the bias depends on n mod h
-    (for N = 3 its sign flips at n == 2 mod 3), which this term does not see."""
+    (for N = 3 its sign flips at n == 2 mod 3), which this term does not see.
+    Raises ValueError too on an N whose pi N overflows a float."""
     if n < 1:
         raise ValueError("n must be >= 1")
     _require_span_one(spec, "the bias estimate")
-    bma = spec.beta - spec.alpha
-    log_mag = (
-        _log_prefactor(n)
-        - 0.25 * math.log(n)
-        + math.log(abs(bma))
-        - math.log(8.0 * math.sqrt(3.0 * spec.N))
-    )
-    return LogScaledValue(1 if bma > 0 else -1, log_mag)
+    N = spec.N
+    _pi_n(N)
+    coef = 2.0 * (spec.beta - spec.alpha)
+    return _second_term(n, N, 0.0, coef, math.log(16.0 * math.sqrt(3.0 * N)))
 
 
 # ---------------------------------------------------------------------------

@@ -357,9 +357,11 @@ def cmd_count(args: argparse.Namespace, out: TextIO) -> int:
 
 
 def cmd_compare(args: argparse.Namespace, out: TextIO) -> int:
+    # pinned by the benchmark pool's three compare-N error jobs until ROADMAP item 2's CLI step
     if args.spec.N not in (2, 5, 6):
         raise UsageError(
-            "compare uses the aggregated two-term form, which needs N = 2, 5 or 6"
+            "compare serves only N = 2, 5 or 6 so far, although its two-term "
+            "form holds for every class pair of span 1"
         )
     ns = _resolve_weights(args)
     if any(n < 1 for n in ns):

@@ -20,7 +20,7 @@ from .exact import (
     lattice_span,
     m_max,
 )
-from .specialfn import _Q3, _SQRT3, erfc
+from .specialfn import _Q3, _SQRT3, _pi_n, erfc
 
 __all__ = [
     "NormalizedHistogram",
@@ -70,20 +70,6 @@ class BiasProfile(_Record):
 # ---------------------------------------------------------------------------
 # limit densities
 # ---------------------------------------------------------------------------
-
-
-def _pi_n(N: int) -> float:
-    """pi N, the scale of every limit law; a ValueError unless N >= 2 and pi N
-    is a finite float."""
-    if N < 2:
-        raise ValueError("N must be >= 2")
-    try:
-        pi_n = math.pi * N
-    except OverflowError:  # N itself is too large for a float
-        pi_n = math.inf
-    if not math.isfinite(pi_n):
-        raise ValueError("N is too large: pi * N overflows a float")
-    return pi_n
 
 
 def gaussian_density(x: float, N: int) -> float:

@@ -51,6 +51,20 @@ _LOG2 = math.log(2.0)
 MAX_BERNOULLI = 60
 
 
+def _pi_n(N: int) -> float:
+    """pi N, the scale of every limit law and estimate; a ValueError unless
+    N >= 2 and pi N is a finite float."""
+    if N < 2:
+        raise ValueError("N must be >= 2")
+    try:
+        pi_n = math.pi * N
+    except OverflowError:  # N itself is too large for a float
+        pi_n = math.inf
+    if not math.isfinite(pi_n):
+        raise ValueError("N is too large: pi * N overflows a float")
+    return pi_n
+
+
 # ---------------------------------------------------------------------------
 # complementary error function
 # ---------------------------------------------------------------------------

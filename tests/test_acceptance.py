@@ -231,11 +231,12 @@ def test_criterion_08_residue_tuple_combinatorics():
 
 def test_criterion_09_theorem_consistency():
     """Aggregated and tuple-sum estimates agree to 1e-12 relative for
-    N in {2,5,6}; the c0=0 main term is half the full-count main term for
-    every N <= 6; the N=3 second term reproduces the printed 3x3 shift table
-    exactly on all 9 classes."""
-    for N in (2, 5, 6):
-        spec = ParitySpec(N, 1, 2)
+    every class pair of span 1 with N <= 6; the c0=0 main term is half the
+    full-count main term for every N <= 6; the N=3 second term reproduces the
+    printed 3x3 shift table exactly on all 9 classes."""
+    for spec in EVERY_PAIR:
+        if lattice_span(spec) > 1:
+            continue
         for c0 in (0.0, 0.5, 1.0, 2.0):
             for n in (97, 500, 2401):
                 t1 = estimate_thm1(n, spec, c0)

@@ -24,16 +24,28 @@ from paritylab import (
     guarded_ceil,
     H_value,
     l_count_check,
+    lattice_span,
     n3_class_shift,
     nh_value,
     nr_coefficient,
     nr_contour_integral,
     residue_tuples,
+    tail_counts,
 )
 from paritylab.asymptotics import _delta_class_counts, _pairwise_sum
 
 Q3 = 3.0**0.25
 SQRT3 = math.sqrt(3.0)
+# SPAN_ONE[N]: every ordered class pair of modulus N with lattice span 1, the
+# domain of estimate_thm2 (all but (3, {1, 2}) and (4, {1, 3}))
+SPAN_ONE = {
+    N: [
+        ParitySpec(N, a, b)
+        for a, b in itertools.permutations(range(1, N + 1), 2)
+        if lattice_span(ParitySpec(N, a, b)) == 1
+    ]
+    for N in range(2, 7)
+}
 
 
 # ---------------------------------------------------------------------------
@@ -265,25 +277,23 @@ def test_second_term_even_n_N2_aggregate():
     assert est.second.log_abs == pytest.approx(expected, abs=1e-12)
 
 
-@pytest.mark.parametrize("N", [2, 5, 6])
+@pytest.mark.parametrize("N", [2, 3, 4, 5, 6])
 @pytest.mark.parametrize("c0", [0.0, 0.5, 1.0, 2.0])
 def test_thm1_equals_thm2(N, c0):
-    spec = ParitySpec(N, 1, 2)
-    for n in (97, 500, 2401):
+    for spec, n in itertools.product(SPAN_ONE[N], (97, 500, 2401)):
         t1 = estimate_thm1(n, spec, c0)
         t2 = estimate_thm2(n, spec, c0)
         assert t1.total.sign == t2.total.sign
         assert t1.total.log_abs == pytest.approx(t2.total.log_abs, abs=1e-12)
 
 
-@pytest.mark.parametrize("N", [2, 5, 6])
+@pytest.mark.parametrize("N", [2, 3, 4, 5, 6])
 def test_thm1_equals_thm2_where_erfc_underflows(N):
     # at c0 = 50 erfc(x) underflows to 0 (x = 50 sqrt(pi N)/(2*3^{1/4}) > 80),
     # so both estimates take log erfc from the continued fraction.  The log
     # magnitudes are ~2000-7000, where one ulp is ~5e-13, so the totals (main
     # plus a second term of comparable size) are compared relatively
-    spec = ParitySpec(N, 1, 2)
-    for n in (97, 500, 2401):
+    for spec, n in itertools.product(SPAN_ONE[N], (97, 500, 2401)):
         t1 = estimate_thm1(n, spec, 50.0)
         t2 = estimate_thm2(n, spec, 50.0)
         assert t1.main.log_abs == pytest.approx(t2.main.log_abs, abs=1e-12)
@@ -293,32 +303,46 @@ def test_thm1_equals_thm2_where_erfc_underflows(N):
 
 def test_thm1_main_term_is_thm2_main_term_exactly():
     # the N^{N-1} admissible tuples split one main term, so the two forms
-    # share it bit for bit, for every class pair and at far thresholds too
-    for N in (2, 5, 6):
-        for alpha, beta in itertools.permutations(range(1, N + 1), 2):
-            spec = ParitySpec(N, alpha, beta)
+    # share it bit for bit, for every span-1 pair and at far thresholds too
+    for N in range(2, 7):
+        for spec in SPAN_ONE[N]:
             for n, c0 in itertools.product((1, 7, 500, 3001), (0.0, -0.75, 0.5, 2.5, 50.0)):
                 assert estimate_thm1(n, spec, c0).main == estimate_thm2(n, spec, c0).main
 
 
 def test_thm2_domain():
-    with pytest.raises(ValueError):
-        estimate_thm2(100, ParitySpec(3, 1, 2), 0.0)
+    # the four orders of the two lattice pairs
+    for spec in (ParitySpec(3, 1, 2), ParitySpec(3, 2, 1), ParitySpec(4, 1, 3), ParitySpec(4, 3, 1)):
+        with pytest.raises(ValueError, match="aggregated two-term form does not hold"):
+            estimate_thm2(100, spec, 0.0)
     with pytest.raises(ValueError):
         estimate_thm2(0, ParitySpec(2, 1, 2), 0.0)
 
 
 def test_delta_classes_hold_equal_tuple_counts():
-    # for the N of the aggregated form, each class delta = [l_a - l_b - c]_N
-    # holds N^{N-2} of the N^{N-1} admissible tuples, for every class pair
-    # (the cut c only relabels the classes); this is why the tuple sum of
-    # estimate_thm1 aggregates to estimate_thm2
-    for N, n in itertools.product((2, 5, 6), (100, 977, 2001)):
+    # each class delta = [l_a - l_b - c]_N holds N^{N-2} of the N^{N-1}
+    # admissible tuples exactly on the class pairs of span 1 (the cut c only
+    # relabels the classes); this is why the tuple sum of estimate_thm1
+    # aggregates to estimate_thm2 there, and only there
+    for N, n in itertools.product(range(2, 7), (100, 977, 2001)):
         tuples = residue_tuples(n, N)
         for alpha, beta in itertools.permutations(range(1, N + 1), 2):
             classes = Counter((l[alpha - 1] - l[beta - 1]) % N for l in tuples)
-            assert sorted(classes) == list(range(N))
-            assert set(classes.values()) == {N ** (N - 2)}
+            uniform = sorted(classes) == list(range(N)) and set(classes.values()) == {N ** (N - 2)}
+            assert uniform == (lattice_span(ParitySpec(N, alpha, beta)) == 1), (N, alpha, beta, n)
+
+
+@pytest.mark.parametrize("spec", [ParitySpec(7, 1, 2), ParitySpec(12, 5, 7), ParitySpec(3, 1, 3), ParitySpec(4, 1, 2)])
+@pytest.mark.parametrize("n", [1000, 2000])
+def test_thm2_two_terms_near_the_exact_tail_at_N_3_4_7_12(spec, n):
+    # moduli the tuple sum cannot reach (N = 7, 12) and span-1 pairs at N = 3, 4:
+    # at c0 = 0 the second term takes the main term's 12-21 % shortfall to
+    # within 1 % of the exact tail
+    exact = tail_counts(spec, range(n, n + 1), [0])[0]
+    est = estimate_thm2(n, spec, 0.0)
+    main_ratio, total_ratio = est.main.ratio_to(exact), est.total.ratio_to(exact)
+    assert abs(total_ratio - 1.0) < 0.012
+    assert abs(total_ratio - 1.0) < abs(main_ratio - 1.0)
 
 
 def test_delta_class_counts_match_residue_tuples():

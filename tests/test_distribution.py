@@ -14,6 +14,8 @@ from paritylab import (
     bias_mode_prediction,
     bias_profile_of,
     bias_support_bound,
+    estimate_bias,
+    estimate_thm2,
     gaussian_density,
     histogram_of,
     ks_distance_of,
@@ -73,6 +75,8 @@ def test_limit_laws_refuse_a_modulus_whose_pi_n_overflows(N):
         lambda: bias_density(0.5, N),
         lambda: bias_mode_prediction(N),
         lambda: ks_distance_of(pd_distribution(40, ParitySpec(N, 1, 2))),
+        lambda: estimate_thm2(100, ParitySpec(N, 1, 2), 0.0),
+        lambda: estimate_bias(100, ParitySpec(N, 1, 2)),
     ]
     for law in laws:
         with pytest.raises(ValueError, match="pi \\* N overflows"):
