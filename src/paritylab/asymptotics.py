@@ -538,58 +538,55 @@ def _pairwise_sum(xs: Sequence[float]) -> float:
     return _pairwise_sum(xs[:half]) + _pairwise_sum(xs[half:])
 
 
+# The contour's one grid: y runs over [-1, 1] in 8000 trapezoid intervals, and
+# every second node gives the 4000-interval rule T1.
+_NR_INTERVALS = 8000
+
+
 @lru_cache
-def nr_contour_integral(
-    A: float, B: float, n: int, theta: float = 1.0, mesh: int = 4000
-) -> complex:
+def nr_contour_integral(A: float, B: float, n: int) -> complex:
     """Rescaled saddle-point contour integral, the oracle for the T expansion.
 
     Evaluates (1/2 pi i) Int z^A e^{B^2/z + n z} dz over z = eta(1 + iy),
-    |y| <= theta, eta = B/sqrt(n), by composite trapezoid at mesh and 2*mesh
-    subintervals with Richardson extrapolation (4 T2 - T1)/3; halving-step
-    disagreement above 1e-6 raises.  The exponent is recentred by -2 B sqrt(n)
-    and the result multiplied by n^{(2A+3)/4}, so it is O(1) and directly
-    comparable to sum_r T_{A,B,r} n^{-r/2}.
+    |y| <= 1 (theta = 1), eta = B/sqrt(n), by composite trapezoid at 4000
+    and 8000 intervals with Richardson extrapolation (4 T2 - T1)/3;
+    halving-step disagreement above 1e-6 raises.  The exponent is recentred
+    by -2 B sqrt(n) and the result multiplied by n^{(2A+3)/4}, so it is O(1)
+    and directly comparable to sum_r T_{A,B,r} n^{-r/2}.
 
     Every node, trapezoid term and sum is rounded as numpy's linspace, complex
-    division, exp and trapezoid round them.  Where the contour stays inside
-    |z| < 1/2, that is n > 4 B^2 (1 + theta^2) (every integral of the verify
-    suite), CPython's complex log and the C library's take the same route too,
-    and the result equals numpy's bit for bit; nearer |z| = 1 the two logs may
-    differ in the last bit.  The result depends only on the arguments and is
-    cached.
+    division, exp and trapezoid round them.  The contour stays inside
+    |z| < 1/2 where n > 8 B^2 (n >= 14 for the verify suite's B = pi/sqrt 6);
+    there CPython's complex log and the C library's take the same route too,
+    and the result equals numpy's bit for bit.  The result depends only on
+    the arguments and is cached.
     """
     if B <= 0:
         raise ValueError("B must be > 0")
     if n < 1:
         raise ValueError("n must be >= 1")
-    if mesh < 1000:
-        raise ValueError("mesh must be >= 1000")
-    if not 0.0 < theta < math.pi * math.sqrt(n) / B:
-        raise ValueError("theta must lie in (0, pi sqrt(n)/B)")
-
+    # the contour's half-height eta stays below pi
     eta = B / math.sqrt(n)
+    if not eta < math.pi:
+        raise ValueError("B / sqrt(n) must be < pi")
+
     two_b_sqrt_n = 2.0 * B * math.sqrt(n)
     b2 = B * B
     scale = eta / (2.0 * math.pi)
 
-    # linspace(-theta, theta, 2 mesh + 1); the step halves exactly, so its even
-    # nodes are exactly linspace(-theta, theta, mesh + 1)
-    step = 2.0 * theta / (2 * mesh)
-    ys = [i * step - theta for i in range(2 * mesh)]
-    ys.append(theta)
+    # linspace(-1, 1, 8001); the step halves exactly, so its even nodes are
+    # exactly linspace(-1, 1, 4001)
+    step = 2.0 / _NR_INTERVALS
+    ys = [i * step - 1.0 for i in range(_NR_INTERVALS)]
+    ys.append(1.0)
     gs = []
     for y in ys:
         zi = eta * y
-        # B^2/z by Smith's rule, as numpy divides complex numbers
-        if eta >= abs(zi):
-            rat = zi / eta
-            scl = 1.0 / (eta + zi * rat)
-            b2_over_z = complex(b2 * scl, -(b2 * rat) * scl)
-        else:
-            rat = eta / zi
-            scl = 1.0 / (zi + eta * rat)
-            b2_over_z = complex((b2 * rat) * scl, -b2 * scl)
+        # B^2/z by Smith's rule, as numpy divides complex numbers; |zi| <= eta
+        # on this contour, so numpy takes this branch at every node
+        rat = zi / eta
+        scl = 1.0 / (eta + zi * rat)
+        b2_over_z = complex(b2 * scl, -(b2 * rat) * scl)
         z = complex(eta, zi)
         w = b2_over_z + n * z - two_b_sqrt_n
         gs.append(cmath.exp(w + A * cmath.log(z)) * scale)

@@ -2,12 +2,12 @@
 
 Each check evaluates one analytic fact on fixed deterministic inputs and
 returns a CheckResult verdict; the CLI serializes them as JSON lines.  A
-check's grid, weights, contour and ray are module constants: its only
-parameters are those default_suite() varies (N, y_min, A, R) and `bound`.  A
-check is the only judge of its verdict: it compares the observed value with
-its `bound` argument (each check's default is the bound the suite runs
-against) and applies any further condition of its own, which no bound
-relaxes.  The suite covers:
+check's grid, weights and ray are module constants (its contour is
+nr_contour_integral's own): its only parameters are those default_suite()
+varies (N, y_min, A, R) and `bound`.  A check is the only judge of its
+verdict: it compares the observed value with its `bound` argument (each
+check's default is the bound the suite runs against) and applies any further
+condition of its own, which no bound relaxes.  The suite covers:
 
 * s(y) strict negativity off 0, and its quadratic Taylor coefficient;
 * the Lambda(0) = N pi^2/12 dilogarithm identity;
@@ -139,18 +139,18 @@ def check_sy_taylor(N: int, *, bound: float = 10.0) -> CheckResult:
 
 
 # B is N = 2's saddle constant: B^2 = Lambda(0) = N pi^2/12, the smallest N
-# the estimates cover.  Both weights keep the contour inside |z| < 1/2
-# (n > 4 B^2 (1 + theta^2)), where the quadrature equals numpy's bit for bit.
+# the estimates cover.
 _NR_B = math.pi * math.sqrt(2.0 / 12.0)
 _NR_WEIGHTS = (400, 1600)
-_NR_THETA = 1.0
-_NR_MESH = 4000
 
 
 def check_nr_expansion(A: float, R: int, *, bound: float | None = None) -> CheckResult:
     """Quadrature minus the R-term expansion decays at the n^{-R/2} rate.
 
-    The saddle constant is B = pi sqrt(2/12) and n runs over 400, 1600.  For
+    The saddle constant is B = pi sqrt(2/12) and n runs over 400, 1600.  The
+    quadrature is nr_contour_integral's one contour (theta = 1, 4000 and 8000
+    trapezoid intervals), which stays inside |z| < 1/2 for n >= 14, so it
+    equals numpy's trapezoid bit for bit at both weights.  For
     consecutive n the residual ratio must be <= bound (default 3) times the
     generic prediction (n_i/n_{i+1})^{R/2}.  One-sided on purpose:
     O(n^{-R/2}) is an upper bound, and when the leading omitted coefficient
@@ -161,7 +161,7 @@ def check_nr_expansion(A: float, R: int, *, bound: float | None = None) -> Check
     B, ns = _NR_B, _NR_WEIGHTS
     residuals = []
     for n in ns:
-        q = nr_contour_integral(A, B, n, theta=_NR_THETA, mesh=_NR_MESH)
+        q = nr_contour_integral(A, B, n)
         expansion = sum(nr_coefficient(A, B, r) * n ** (-r / 2.0) for r in range(R))
         residuals.append(abs(q - expansion))
 

@@ -131,17 +131,24 @@ def erfc(x: float) -> float:
 
 @lru_cache(maxsize=None)
 def _bernoulli_table() -> tuple[Fraction, ...]:
-    # B_0 = 1 and, from the generating function t e^{xt}/(e^t - 1),
-    # B_r = -1/(r+1) * sum_{k<r} C(r+1, k) B_k.  This convention gives
-    # B_1 = -1/2.  Built on first use, so import does no rational arithmetic.
+    # From the generating function t e^{xt}/(e^t - 1): B_0 = 1, B_1 = -1/2,
+    # B_r = 0 for odd r >= 3, and B_2k = (-1)^(k-1) 2k T_k / (4^k (4^k - 1))
+    # with T_k the tangent numbers, which Brent and Harvey's O(k^2) recurrence
+    # builds in integers.  Built on first use, so import does no rational
+    # arithmetic.
     from fractions import Fraction
 
-    table = [Fraction(1)]
-    for r in range(1, MAX_BERNOULLI + 1):
-        acc = Fraction(0)
-        for k in range(r):
-            acc += math.comb(r + 1, k) * table[k]
-        table.append(-acc / (r + 1))
+    m = MAX_BERNOULLI // 2
+    tangent = [0] + [math.factorial(k - 1) for k in range(1, m + 1)]
+    for k in range(2, m + 1):
+        for j in range(k, m + 1):
+            tangent[j] = (j - k) * tangent[j - 1] + (j - k + 2) * tangent[j]
+
+    table = [Fraction(1), Fraction(-1, 2)]
+    for r in range(2, MAX_BERNOULLI + 1):
+        k = r // 2
+        numerator = 0 if r % 2 else (-1) ** (k - 1) * r * tangent[k]
+        table.append(Fraction(numerator, 4**k * (4**k - 1)))
     return tuple(table)
 
 

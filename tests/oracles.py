@@ -5,15 +5,17 @@ and a different code shape from the package under test: include/exclude
 subset recursion instead of largest-part-first generation, a dict-of-Counter
 DP instead of packed big-integer limbs, a packed DP over every part instead
 of the package's family engine, one dot product per column pair instead of
-the package's transposed single-weight engine, and a plain one-dimensional
-DP for the distinct-part counting sequence.  If the package and this file
-agree, the agreement means something.  The one exception is the contour
-trapezoid, which the package rounds exactly as numpy does: its oracle is the
-same rule run by numpy's vectorised operations.
+the package's transposed single-weight engine, a plain one-dimensional DP
+for the distinct-part counting sequence, and the Fraction recurrence for
+Bernoulli numbers instead of integer tangent numbers.  If the package and
+this file agree, the agreement means something.  The one exception is the
+contour trapezoid, which the package rounds exactly as numpy does: its oracle
+is the same rule run by numpy's vectorised operations.
 """
 
 import math
 from collections import Counter
+from fractions import Fraction
 from typing import Iterator
 
 
@@ -198,10 +200,11 @@ def dot_product_counts(n: int, N: int, alpha: int, beta: int) -> dict[int, int]:
     return {k: counts[k] for k in sorted(counts)}
 
 
-def numpy_contour_integral(
-    A: float, B: float, n: int, theta: float = 1.0, mesh: int = 4000
-) -> complex:
-    """paritylab.nr_contour_integral by numpy's linspace, exp, log and trapezoid."""
+def numpy_contour_integral(A: float, B: float, n: int, theta: float, mesh: int) -> complex:
+    """paritylab.nr_contour_integral by numpy's linspace, exp, log and trapezoid.
+
+    The contour is |y| <= theta, with mesh and 2 mesh trapezoid intervals.
+    """
     import numpy as np
 
     eta = B / math.sqrt(n)
@@ -219,3 +222,14 @@ def numpy_contour_integral(
     t2 = trap(2 * mesh + 1)
     value = (4.0 * t2 - t1) / 3.0
     return value * n ** ((2.0 * A + 3.0) / 4.0)
+
+
+def bernoulli_numbers(r_max: int) -> list[Fraction]:
+    """B_0..B_{r_max} by B_r = -1/(r+1) sum_{k<r} C(r+1, k) B_k, B_1 = -1/2."""
+    table = [Fraction(1)]
+    for r in range(1, r_max + 1):
+        acc = Fraction(0)
+        for k in range(r):
+            acc += math.comb(r + 1, k) * table[k]
+        table.append(-acc / (r + 1))
+    return table

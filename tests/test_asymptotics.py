@@ -455,12 +455,6 @@ def test_nr_contour_matches_expansion():
 
 def test_nr_contour_preconditions():
     B = math.pi * math.sqrt(2.0 / 12.0)
-    with pytest.raises(ValueError):
-        nr_contour_integral(0.0, B, 400, mesh=500)
-    with pytest.raises(ValueError):
-        nr_contour_integral(0.0, B, 400, theta=0.0)
-    with pytest.raises(ValueError):
-        nr_contour_integral(0.0, B, 400, theta=math.pi * math.sqrt(400.0) / B)
     with pytest.raises(ValueError, match="B must be > 0"):
         nr_contour_integral(0.0, 0.0, 400)
     with pytest.raises(ValueError, match="B must be > 0"):
@@ -469,38 +463,26 @@ def test_nr_contour_preconditions():
         nr_contour_integral(0.0, B, 0)
     with pytest.raises(ValueError, match="n must be >= 1"):
         nr_contour_integral(0.0, B, -400)
+    with pytest.raises(ValueError, match=r"B / sqrt\(n\) must be < pi"):
+        nr_contour_integral(0.0, math.pi, 1)
 
 
-# The verify suite's four integrals, then one axis at a time around them: A,
-# n, theta and mesh (mesh 6000 sums 12 000 terms, more than numpy's 8192-item
-# iterator buffer, so it shows the reduction is not summed in chunks).  The
-# last two cases reach |y| > 1, where numpy divides by the other branch of
-# Smith's rule, with enough weight to change the bits.
+# The verify suite's four integrals, then A and n one at a time around them.
+# n = 14 is the smallest weight whose contour stays inside |z| < 1/2
+# (n > 8 B^2 = 13.16).  theta and mesh tell the oracle the package's one
+# contour: |y| <= 1 in 4000 and 8000 trapezoid intervals.
 NR_CASES = sorted(
-    {(A, n, 1.0, 4000) for A in (0.0, 0.5) for n in (400, 1600)}
-    | {(A, 400, 1.0, 4000) for A in (0.0, 0.5, 1.0, 2.5)}
-    | {(1.0, n, 1.0, 4000) for n in (100, 400, 1600, 6400)}
-    | {(0.5, 400, theta, 4000) for theta in (0.3, 0.7, 1.0, 1.5)}
-    | {(0.5, 400, 1.0, mesh) for mesh in (1000, 1234, 2500, 4000, 6000)}
-    | {(2.5, 100, 1.5, 1234), (0.0, 6400, 0.3, 2500)}
-    | {(1.0, 34, 1.2, 1000), (1.0, 33, 2.0, 1000)}
+    {(A, n) for A in (0.0, 0.5) for n in (400, 1600)}
+    | {(A, n) for A in (0.0, 0.5, 1.0, 2.5) for n in (14, 400, 6400)}
+    | {(1.0, n) for n in (100, 400, 1600, 6400)}
 )
 
 
-@pytest.mark.parametrize("A, n, theta, mesh", NR_CASES)
+@pytest.mark.parametrize("A, n, theta, mesh", [(A, n, 1.0, 4000) for A, n in NR_CASES])
 def test_nr_contour_equals_numpy_trapezoid(A, n, theta, mesh):
     B = math.pi * math.sqrt(2.0 / 12.0)
-    got = nr_contour_integral(A, B, n, theta=theta, mesh=mesh)
+    got = nr_contour_integral(A, B, n)
     assert got == oracles.numpy_contour_integral(A, B, n, theta=theta, mesh=mesh)
-
-
-def test_nr_contour_near_the_unit_circle_agrees_to_rounding():
-    # n = 10, theta = 3 takes |z| up to 1.28, where CPython's complex log and
-    # the C library's round differently
-    B = math.pi * math.sqrt(2.0 / 12.0)
-    got = nr_contour_integral(2.5, B, 10, theta=3.0, mesh=1000)
-    want = oracles.numpy_contour_integral(2.5, B, 10, theta=3.0, mesh=1000)
-    assert abs(got - want) <= 1e-15 * abs(want)
 
 
 @pytest.mark.parametrize("m", [0, 1, 2, 3, 4, 5, 7, 8, 63, 64, 65, 127, 128, 129, 4000, 8000])

@@ -7,6 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
+
 from paritylab import (
     bernoulli_number,
     bernoulli_poly,
@@ -78,6 +80,11 @@ def test_bernoulli_recurrence_exact():
     for r in range(1, 61):
         acc = sum(math.comb(r + 1, k) * bernoulli_number(k) for k in range(r + 1))
         assert acc == 0
+
+
+def test_bernoulli_table_equals_the_fraction_recurrence():
+    # the package builds B_r from integer tangent numbers
+    assert [bernoulli_number(r) for r in range(61)] == oracles.bernoulli_numbers(60)
 
 
 def test_bernoulli_index_bounds():
