@@ -234,7 +234,7 @@ def check_emf(*, bound: float = 1e-8) -> CheckResult:
     worst = 0.0
     details = []
     for name, f, derivative in _EMF_PROFILES:
-        report = euler_maclaurin(f, 0.0, _EMF_Z, _EMF_R, derivative=derivative)
+        report = euler_maclaurin(f, _EMF_Z, _EMF_R, derivative=derivative)
         resid = abs(report.residual)
         worst = max(worst, resid)
         details.append(f"{name}: {resid!r}")

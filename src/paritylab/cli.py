@@ -1,7 +1,8 @@
 """Command-line front end: exact counts, estimate comparisons, figure data, checks.
 
 One parser takes the command (listed in `_DESCRIPTION`, which --help prints)
-and every option, before or after it.  All outputs are deterministic for a
+and every option, before or after it.  Each command writes its rows to
+stdout, or to the file --out names.  All outputs are deterministic for a
 fixed configuration: fixed column order, repr-formatted floats, full decimal
 strings for exact counts, line-feed terminated rows.  Exit codes: 0 success,
 1 check failure, 2 usage error, 3 budget refusal (exact-compute ceiling).
@@ -24,7 +25,7 @@ import importlib
 import math
 import os
 import sys
-from typing import TYPE_CHECKING, Callable, Sequence, TextIO
+from typing import TYPE_CHECKING, Callable, Sequence
 
 from .exact import (
     ParitySpec,
@@ -199,9 +200,9 @@ def _read_config(path: str, keys: set[str]) -> tuple[list[str], dict[str, float]
     parser to convert and check, as it would be on the command line.
     """
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        with open(path, "r", encoding="utf-8-sig") as fh:
             lines = fh.readlines()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise UsageError(f"cannot read config file {path}: {exc}") from exc
     flags: list[str] = []
     tolerances: dict[str, float] = {}
@@ -306,8 +307,8 @@ def _resolve_weights(args: argparse.Namespace) -> range:
 def _one_weight(args: argparse.Namespace) -> PdDistribution:
     """The exact distribution at the single --n of dist and bias.
 
-    The limit law is asked first, so a modulus it refuses (pi * N overflows
-    a float) exits before the exact pass runs.
+    The limit laws' guard runs first, so a modulus they refuse (pi * N
+    overflows a float) exits before the exact pass runs.
     """
     if args.n is None:
         raise UsageError("this subcommand needs a single --n")
@@ -315,13 +316,14 @@ def _one_weight(args: argparse.Namespace) -> PdDistribution:
     if n < 1:
         raise UsageError(f"{args.command} needs n >= 1")
     _bind(".distribution")
-    gaussian_density(0.0, args.spec.N)
+    # distribution has loaded specialfn, home of the guard
+    importlib.import_module(".specialfn", __package__)._pi_n(args.spec.N)
     return pd_distribution(n, args.spec)
 
 
-def _write(args: argparse.Namespace, text: str, out: TextIO) -> None:
+def _write(args: argparse.Namespace, text: str) -> None:
     if not args.out:
-        out.write(text)
+        sys.stdout.write(text)
         return
     try:
         with open(args.out, "w", encoding="utf-8", newline="") as fh:
@@ -330,7 +332,7 @@ def _write(args: argparse.Namespace, text: str, out: TextIO) -> None:
         raise UsageError(f"cannot write --out {args.out}: {exc}") from exc
 
 
-def _emit(args: argparse.Namespace, rows: list[dict[str, str]], out: TextIO) -> None:
+def _emit(args: argparse.Namespace, rows: list[dict[str, str]]) -> None:
     """Write the rows as JSON or as CSV under the first row's keys."""
     if args.format == "json":
         import json
@@ -340,7 +342,7 @@ def _emit(args: argparse.Namespace, rows: list[dict[str, str]], out: TextIO) -> 
         lines = [",".join(rows[0])]
         lines.extend(",".join(row.values()) for row in rows)
         text = "\n".join(lines) + "\n"
-    _write(args, text, out)
+    _write(args, text)
 
 
 # ---------------------------------------------------------------------------
@@ -348,15 +350,15 @@ def _emit(args: argparse.Namespace, rows: list[dict[str, str]], out: TextIO) -> 
 # ---------------------------------------------------------------------------
 
 
-def cmd_count(args: argparse.Namespace, out: TextIO) -> int:
+def cmd_count(args: argparse.Namespace) -> int:
     ns = _resolve_weights(args)
     counts = tail_counts(args.spec, ns, [args.c] * len(ns))
     c = _fmt_threshold(args.c)
-    _emit(args, [{"n": str(n), "c": c, "count": str(v)} for n, v in zip(ns, counts)], out)
+    _emit(args, [{"n": str(n), "c": c, "count": str(v)} for n, v in zip(ns, counts)])
     return 0
 
 
-def cmd_compare(args: argparse.Namespace, out: TextIO) -> int:
+def cmd_compare(args: argparse.Namespace) -> int:
     # pinned by the benchmark pool's three compare-N error jobs until ROADMAP item 2's CLI step
     if args.spec.N not in (2, 5, 6):
         raise UsageError(
@@ -391,11 +393,11 @@ def cmd_compare(args: argparse.Namespace, out: TextIO) -> int:
             "ratio_two_ba": _fmt_float(ratio(est_ba.total, exact_ba)),
         }
 
-    _emit(args, [row(*r) for r in zip(ns, tails_ab, tails_ba)], out)
+    _emit(args, [row(*r) for r in zip(ns, tails_ab, tails_ba)])
     return 0
 
 
-def cmd_dist(args: argparse.Namespace, out: TextIO) -> int:
+def cmd_dist(args: argparse.Namespace) -> int:
     dist = _one_weight(args)
     hist = histogram_of(dist)
     peak = max(d for _, d in hist.points)
@@ -410,11 +412,11 @@ def cmd_dist(args: argparse.Namespace, out: TextIO) -> int:
                 "gaussian": _fmt_float(gaussian_density(x, args.spec.N)),
             }
         )
-    _emit(args, rows, out)
+    _emit(args, rows)
     return 0
 
 
-def cmd_bias(args: argparse.Namespace, out: TextIO) -> int:
+def cmd_bias(args: argparse.Namespace) -> int:
     _require_span_one(args.spec, "the bias law")
     dist = _one_weight(args)
     profile = bias_profile_of(dist)
@@ -435,17 +437,17 @@ def cmd_bias(args: argparse.Namespace, out: TextIO) -> int:
                 "density": _fmt_float(bias_density(x, args.spec.N)),
             }
         )
-    _emit(args, rows, out)
+    _emit(args, rows)
     return 0
 
 
-def cmd_verify(args: argparse.Namespace, out: TextIO) -> int:
+def cmd_verify(args: argparse.Namespace) -> int:
     from . import checks as checks_mod
 
     results = checks_mod.run_suite(only=args.only, bounds=args.tolerances)
     if args.only is not None and not results:
         raise UsageError(f"no check name starts with {args.only!r}")
-    _write(args, "".join(r.to_json_line() + "\n" for r in results), out)
+    _write(args, "".join(r.to_json_line() + "\n" for r in results))
     return 0 if all(r.passed for r in results) else 1
 
 
@@ -453,7 +455,7 @@ def cmd_verify(args: argparse.Namespace, out: TextIO) -> int:
 # entry point
 # ---------------------------------------------------------------------------
 
-_DISPATCH: dict[str, Callable[[argparse.Namespace, TextIO], int]] = {
+_DISPATCH: dict[str, Callable[[argparse.Namespace], int]] = {
     "count": cmd_count,
     "compare": cmd_compare,
     "dist": cmd_dist,
@@ -465,7 +467,7 @@ _DISPATCH: dict[str, Callable[[argparse.Namespace, TextIO], int]] = {
 def main(argv: Sequence[str] | None = None) -> int:
     try:
         args = _parse(sys.argv[1:] if argv is None else list(argv))
-        return _DISPATCH[args.command](args, sys.stdout)
+        return _DISPATCH[args.command](args)
     except SystemExit as exc:  # argparse: --help exits 0, a usage error 2
         return int(exc.code or 0)
     except CeilingExceeded as exc:

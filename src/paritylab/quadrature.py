@@ -1,15 +1,16 @@
-"""Adaptive quadrature over [a, inf): QUADPACK's QAGI, operation for operation.
+"""Adaptive quadrature over [0, inf): QUADPACK's QAGI, operation for operation.
 
-`integrate_to_infinity(f, a, epsabs, epsrel, limit)` is the routine DQAGIE
-of QUADPACK (Piessens, de Doncker-Kapenga, Ueberhuber & Kahaner, 1983) for
-a finite lower and an infinite upper limit: the map x = a + (1 - t)/t onto
-(0, 1], 15-point Gauss-Kronrod rules on bisected subintervals (DQK15I), the
-error-ordered interval list (DQPSRT) and Wynn's epsilon extrapolation
-(DQELG).  Every floating-point operation is done in the original order, so
-the result and error estimate equal those of `scipy.integrate.quad(f, a,
-inf, ...)` bit for bit; `tests/test_quadrature.py` pins this.  The lists
-are 1-based, as in the Fortran, so index arithmetic reads as in the source;
-slot 0 is unused.
+`integrate_to_infinity(f)` is the routine DQAGIE of QUADPACK (Piessens,
+de Doncker-Kapenga, Ueberhuber & Kahaner, 1983) on [0, inf) at one setting,
+epsabs = epsrel = 1e-12 with at most 200 subintervals (the constants below):
+the map x = (1 - t)/t onto (0, 1], 15-point Gauss-Kronrod rules on bisected
+subintervals (DQK15I), the error-ordered interval list (DQPSRT) and Wynn's
+epsilon extrapolation (DQELG).  Every floating-point operation is done in
+the original order, so the result and error estimate equal those of
+`scipy.integrate.quad(f, 0, inf, epsabs=1e-12, epsrel=1e-12, limit=200)`
+bit for bit; `tests/test_quadrature.py` pins this.  The lists are 1-based,
+as in the Fortran, so index arithmetic reads as in the source; slot 0 is
+unused.
 """
 
 from __future__ import annotations
@@ -24,6 +25,10 @@ _EPMACH = sys.float_info.epsilon
 _UFLOW = sys.float_info.min
 _OFLOW = sys.float_info.max
 _LIMEXP = 50  # longest epsilon table DQELG keeps
+# the one setting the package integrates at: the absolute and relative
+# tolerances, and the most subintervals the list may hold
+_EPSABS = _EPSREL = 1e-12
+_LIMIT = 200
 
 # 15-point Kronrod abscissae and weights, and the weights of the embedded
 # 7-point Gauss rule (zero at the Kronrod-only nodes), centre last
@@ -67,11 +72,11 @@ _TROUBLE = {
 }
 
 
-def _qk15i(f: Callable[[float], float], boun: float, a: float, b: float):
+def _qk15i(f: Callable[[float], float], a: float, b: float):
     """DQK15I on (a, b) in t: (result, abserr, resabs, resasc)."""
     centr = 0.5 * (a + b)
     hlgth = 0.5 * (b - a)
-    fc = (f(boun + (1.0 - centr) / centr) / centr) / centr
+    fc = (f((1.0 - centr) / centr) / centr) / centr
     resg = _WG[7] * fc
     resk = _WGK[7] * fc
     resabs = abs(resk)
@@ -81,8 +86,8 @@ def _qk15i(f: Callable[[float], float], boun: float, a: float, b: float):
         absc = hlgth * _XGK[j]
         absc1 = centr - absc
         absc2 = centr + absc
-        fval1 = f(boun + (1.0 - absc1) / absc1)
-        fval2 = f(boun + (1.0 - absc2) / absc2)
+        fval1 = f((1.0 - absc1) / absc1)
+        fval2 = f((1.0 - absc2) / absc2)
         fval1 = (fval1 / absc1) / absc1
         fval2 = (fval2 / absc2) / absc2
         fv1.append(fval1)
@@ -106,7 +111,7 @@ def _qk15i(f: Callable[[float], float], boun: float, a: float, b: float):
     return result, abserr, resabs, resasc
 
 
-def _qpsrt(limit: int, last: int, maxerr: int, elist: list, iord: list, nrmax: int):
+def _qpsrt(last: int, maxerr: int, elist: list, iord: list, nrmax: int):
     """DQPSRT: keep iord descending by error; (maxerr, errmax, nrmax) to bisect next."""
     if last <= 2:
         iord[1] = 1
@@ -120,7 +125,7 @@ def _qpsrt(limit: int, last: int, maxerr: int, elist: list, iord: list, nrmax: i
             break
         iord[nrmax] = isucc
         nrmax -= 1
-    jupbn = last if last <= limit // 2 + 2 else limit + 3 - last
+    jupbn = last if last <= _LIMIT // 2 + 2 else _LIMIT + 3 - last
     errmin = elist[last]
     jbnd = jupbn - 1
     for i in range(nrmax + 1, jbnd + 1):
@@ -221,46 +226,38 @@ def _qelg(n: int, epstab: list, res3la: list, nres: int):
     return n, result, max(abserr, 5.0 * _EPMACH * abs(result)), nres
 
 
-def integrate_to_infinity(
-    f: Callable[[float], float], a: float, epsabs: float, epsrel: float, limit: int
-) -> tuple[float, float]:
-    """Integral of f over [a, inf) and its error estimate, as DQAGIE gives them.
+def integrate_to_infinity(f: Callable[[float], float]) -> tuple[float, float]:
+    """Integral of f over [0, inf) and its error estimate, as DQAGIE gives them.
 
-    `limit` bounds the number of subintervals.  When the tolerance is not met
-    a RuntimeWarning names the reason, and the best estimate is still returned.
+    When the tolerance is not met a RuntimeWarning names the reason, and the
+    best estimate is still returned.
     """
-    if epsabs <= 0.0 and epsrel < max(50.0 * _EPMACH, 0.5e-28):
-        raise ValueError("tolerance too small: give epsabs > 0 or a larger epsrel")
-    if limit < 1:
-        raise ValueError("limit must be >= 1")
-    result, abserr, ier = _qagie(f, float(a), epsabs, epsrel, limit)
+    result, abserr, ier = _qagie(f)
     if ier:
         warnings.warn(f"integrate_to_infinity: {_TROUBLE[ier]}", RuntimeWarning, stacklevel=2)
     return result, abserr
 
 
-def _qagie(f, boun: float, epsabs: float, epsrel: float, limit: int):
-    """DQAGIE with inf = 1: (result, abserr, ier)."""
-    alist = [0.0] * (limit + 1)
-    blist = [0.0] * (limit + 1)
-    rlist = [0.0] * (limit + 1)
-    elist = [0.0] * (limit + 1)
-    iord = [0] * (limit + 1)
+def _qagie(f):
+    """DQAGIE with bound = 0 and inf = 1: (result, abserr, ier)."""
+    alist = [0.0] * (_LIMIT + 1)
+    blist = [0.0] * (_LIMIT + 1)
+    rlist = [0.0] * (_LIMIT + 1)
+    elist = [0.0] * (_LIMIT + 1)
+    iord = [0] * (_LIMIT + 1)
     rlist2 = [0.0] * (_LIMEXP + 3)
     res3la = [0.0] * 4
     ier = 0
     alist[1] = 0.0
     blist[1] = 1.0
-    result, abserr, defabs, resabs = _qk15i(f, boun, 0.0, 1.0)
+    result, abserr, defabs, resabs = _qk15i(f, 0.0, 1.0)
     rlist[1] = result
     elist[1] = abserr
     iord[1] = 1
     dres = abs(result)
-    errbnd = max(epsabs, epsrel * dres)
+    errbnd = max(_EPSABS, _EPSREL * dres)
     if abserr <= 100.0 * _EPMACH * defabs and abserr > errbnd:
         ier = 2
-    if limit == 1:
-        ier = 1
     if ier != 0 or (abserr <= errbnd and abserr != resabs) or abserr == 0.0:
         return result, abserr, (ier - 1 if ier > 2 else ier)
 
@@ -281,15 +278,15 @@ def _qagie(f, boun: float, epsabs: float, epsrel: float, limit: int):
     ksgn = 1 if dres >= (1.0 - 50.0 * _EPMACH) * defabs else -1
     small = erlarg = ertest = correc = 0.0
     summed = False  # leave through the global sum of the interval list
-    for last in range(2, limit + 1):
+    for last in range(2, _LIMIT + 1):
         # bisect the subinterval with the nrmax-th largest error estimate
         a1 = alist[maxerr]
         b1 = 0.5 * (alist[maxerr] + blist[maxerr])
         a2 = b1
         b2 = blist[maxerr]
         erlast = errmax
-        area1, error1, _, defab1 = _qk15i(f, boun, a1, b1)
-        area2, error2, _, defab2 = _qk15i(f, boun, a2, b2)
+        area1, error1, _, defab1 = _qk15i(f, a1, b1)
+        area2, error2, _, defab2 = _qk15i(f, a2, b2)
         area12 = area1 + area2
         erro12 = error1 + error2
         errsum = errsum + erro12 - errmax
@@ -304,12 +301,12 @@ def _qagie(f, boun: float, epsabs: float, epsrel: float, limit: int):
                 iroff3 += 1
         rlist[maxerr] = area1
         rlist[last] = area2
-        errbnd = max(epsabs, epsrel * abs(area))
+        errbnd = max(_EPSABS, _EPSREL * abs(area))
         if iroff1 + iroff2 >= 10 or iroff3 >= 20:
             ier = 2
         if iroff2 >= 5:
             ierro = 3
-        if last == limit:
+        if last == _LIMIT:
             ier = 1
         if max(abs(a1), abs(b2)) <= (1.0 + 100.0 * _EPMACH) * (abs(a2) + 1000.0 * _UFLOW):
             ier = 4
@@ -327,7 +324,7 @@ def _qagie(f, boun: float, epsabs: float, epsrel: float, limit: int):
             blist[last] = b2
             elist[maxerr] = error1
             elist[last] = error2
-        maxerr, errmax, nrmax = _qpsrt(limit, last, maxerr, elist, iord, nrmax)
+        maxerr, errmax, nrmax = _qpsrt(last, maxerr, elist, iord, nrmax)
         if errsum <= errbnd:
             summed = True
             break
@@ -353,7 +350,7 @@ def _qagie(f, boun: float, epsabs: float, epsrel: float, limit: int):
         if not (ierro == 3 or erlarg <= ertest):
             # the smallest interval has the largest error: first bisect the
             # larger intervals while their errors exceed the test
-            jupbnd = last if last <= 2 + limit // 2 else limit + 3 - last
+            jupbnd = last if last <= 2 + _LIMIT // 2 else _LIMIT + 3 - last
             larger = False
             for _ in range(nrmax, jupbnd + 1):
                 maxerr = iord[nrmax]
@@ -375,7 +372,7 @@ def _qagie(f, boun: float, epsabs: float, epsrel: float, limit: int):
             abserr = abseps
             result = reseps
             correc = erlarg
-            ertest = max(epsabs, epsrel * abs(reseps))
+            ertest = max(_EPSABS, _EPSREL * abs(reseps))
             if abserr <= ertest:
                 break
         # prepare bisection of the smallest interval

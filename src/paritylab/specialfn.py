@@ -11,7 +11,7 @@ Everything here is double precision with stated accuracy targets:
 * lambda_y, s_of_y -- the saddle-direction functions
                     Lambda(y) = N(pi^2/6 - log(2)^2 (1+iy)^2 / 2 - Li_2(2^{-(1+iy)}))
                     and s(y) = Re(Lambda(y)/(1+iy)) - pi^2 N / 12;
-* euler_maclaurin -- the infinite-ray Euler-Maclaurin identity with an
+* euler_maclaurin -- the Euler-Maclaurin identity on the ray from 0 with an
                     itemized report of each term and the leftover residual
                     (the ray integral by QUADPACK's QAGI, see quadrature).
 """
@@ -308,16 +308,15 @@ class EmfReport(_Record):
 
 def euler_maclaurin(
     f: Callable[[complex], complex],
-    a: complex,
     z: complex,
     R: int,
     derivative: Callable[[int, complex], complex],
 ) -> EmfReport:
-    """Evaluate sum_{n>=0} f(nz + a) against its Euler-Maclaurin expansion.
+    """Evaluate sum_{n>=0} f(nz) against its Euler-Maclaurin expansion.
 
-        sum_{n>=0} f(nz+a) = (1/z) Int_a^{a+inf*z} f(t) dt + f(a)/2
-                             - sum_{r=1}^{R} B_{2r}/(2r)! z^{2r-1} f^{(2r-1)}(a)
-                             + residual.
+        sum_{n>=0} f(nz) = (1/z) Int_0^{inf*z} f(t) dt + f(0)/2
+                           - sum_{r=1}^{R} B_{2r}/(2r)! z^{2r-1} f^{(2r-1)}(0)
+                           + residual.
 
     f (and its derivatives) must decay rapidly along the ray; growth of the
     summand is detected and aborts.  `derivative(order, x)` is the exact
@@ -325,7 +324,6 @@ def euler_maclaurin(
     """
     if R < 0:
         raise ValueError("R must be >= 0")
-    a = complex(a)
     z = complex(z)
     if z == 0:
         raise ValueError("ray direction z must be nonzero")
@@ -337,7 +335,7 @@ def euler_maclaurin(
     prev_mag = math.inf
     nn = 0
     while True:
-        term = complex(f(a + nn * z))
+        term = complex(f(nn * z))
         total += term
         mag = abs(term)
         if mag < 1e-18:
@@ -360,22 +358,18 @@ def euler_maclaurin(
         if nn > 10_000_000:
             raise ArithmeticError("summand decays too slowly to truncate")
 
-    # --- integral along the ray, parameterized t = a + s z ---
+    # --- integral along the ray, parameterized t = s z ---
     from .quadrature import integrate_to_infinity  # deferred: off the dist/bias/compare path
 
-    re_part, _ = integrate_to_infinity(
-        lambda s: (f(a + s * z)).real, 0.0, epsabs=1e-12, epsrel=1e-12, limit=200
-    )
-    im_part, _ = integrate_to_infinity(
-        lambda s: (f(a + s * z)).imag, 0.0, epsabs=1e-12, epsrel=1e-12, limit=200
-    )
+    re_part, _ = integrate_to_infinity(lambda s: (f(s * z)).real)
+    im_part, _ = integrate_to_infinity(lambda s: (f(s * z)).imag)
     integral = complex(re_part, im_part)  # equals (1/z) * the contour integral
 
-    boundary = complex(f(a)) / 2.0
+    boundary = complex(f(0j)) / 2.0
 
     corrections: list[complex] = []
     for r in range(1, R + 1):
-        deriv = complex(derivative(2 * r - 1, a))
+        deriv = complex(derivative(2 * r - 1, 0j))
         coeff = float(bernoulli_number(2 * r)) / math.factorial(2 * r)
         corrections.append(-coeff * z ** (2 * r - 1) * deriv)
 

@@ -368,6 +368,23 @@ def test_config_file_errors(capsys, tmp_path):
     assert code == 2
 
 
+def test_config_file_saved_with_a_byte_order_mark_reads_as_without(capsys, tmp_path):
+    plain, bom = tmp_path / "plain.cfg", tmp_path / "bom.cfg"
+    plain.write_bytes(b"n=8\nc=1\n")
+    bom.write_bytes(b"\xef\xbb\xbfn=8\nc=1\n")
+    expected = run_cli(capsys, "count", "--config", str(plain))
+    assert expected == (0, "n,c,count\n8,1,4\n", "")
+    assert run_cli(capsys, "count", "--config", str(bom)) == expected
+
+
+def test_config_file_that_is_not_utf8_is_a_usage_error_naming_it(capsys, tmp_path):
+    cfg = tmp_path / "latin1.cfg"
+    cfg.write_bytes(b"n=8\xff\n")
+    code, out, err = run_cli(capsys, "count", "--config", str(cfg))
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: cannot read config file {cfg}: 'utf-8' codec can't decode")
+
+
 @pytest.mark.parametrize(
     "argv",
     [

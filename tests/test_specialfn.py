@@ -224,7 +224,7 @@ def _dexp(order, x):
 
 def test_emf_geometric_series():
     z = 0.5
-    report = euler_maclaurin(_exp, 0.0, z, R=2, derivative=_dexp)
+    report = euler_maclaurin(_exp, z, R=2, derivative=_dexp)
     assert report.sum_value == pytest.approx(1 / (1 - math.exp(-z)), rel=1e-12)
     # for f = e^{-t}: -B_2/2! z f'(0) = z/12
     assert report.correction_terms[0] == pytest.approx(z / 12, rel=1e-10)
@@ -232,7 +232,7 @@ def test_emf_geometric_series():
 
 
 def test_emf_report_identity():
-    report = euler_maclaurin(_exp, 0.0, 0.3, R=1, derivative=_dexp)
+    report = euler_maclaurin(_exp, 0.3, R=1, derivative=_dexp)
     reassembled = (
         report.integral_term
         + report.boundary_term
@@ -253,13 +253,13 @@ def test_emf_gaussian_profile_residual():
         val = h if order >= 1 else 1.0
         return (-1) ** order * val * cmath.exp(-(x * x))
 
-    report = euler_maclaurin(gaussian, 0.0, 0.1, R=3, derivative=dgaussian)
+    report = euler_maclaurin(gaussian, 0.1, R=3, derivative=dgaussian)
     assert abs(report.residual) <= 1e-8
 
 
 def test_emf_residual_is_the_first_omitted_term():
     z = 0.1
-    report = euler_maclaurin(_exp, 0.0, z, R=1, derivative=_dexp)
+    report = euler_maclaurin(_exp, z, R=1, derivative=_dexp)
     assert report.correction_terms[0] == pytest.approx(z / 12, rel=1e-8)
     # the residual should be dominated by the first omitted term,
     # -B_4/4! z^3 f'''(0) = -z^3/720
@@ -268,7 +268,7 @@ def test_emf_residual_is_the_first_omitted_term():
 
 def test_emf_complex_ray():
     z = 0.4 + 0.2j
-    report = euler_maclaurin(_exp, 0.0, z, R=2, derivative=_dexp)
+    report = euler_maclaurin(_exp, z, R=2, derivative=_dexp)
     expected = 1 / (1 - cmath.exp(-z))
     assert report.sum_value == pytest.approx(expected, rel=1e-12)
     assert abs(report.residual) < 1e-5
@@ -276,10 +276,10 @@ def test_emf_complex_ray():
 
 def test_emf_rejects_growth_and_bad_args():
     with pytest.raises(ArithmeticError):
-        euler_maclaurin(cmath.exp, 0.0, 0.5, R=1, derivative=lambda m, x: cmath.exp(x))
+        euler_maclaurin(cmath.exp, 0.5, R=1, derivative=lambda m, x: cmath.exp(x))
     with pytest.raises(ValueError):
-        euler_maclaurin(_exp, 0.0, 0.0, R=1, derivative=_dexp)
+        euler_maclaurin(_exp, 0.0, R=1, derivative=_dexp)
     with pytest.raises(ValueError):
-        euler_maclaurin(_exp, 0.0, 0.5, R=-1, derivative=_dexp)
+        euler_maclaurin(_exp, 0.5, R=-1, derivative=_dexp)
     with pytest.raises(TypeError):
-        euler_maclaurin(_exp, 0.0, 0.5, R=1)  # the derivative is required
+        euler_maclaurin(_exp, 0.5, R=1)  # the derivative is required
