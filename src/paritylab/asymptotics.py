@@ -303,6 +303,8 @@ def boundary_data(
     if n < 1:
         raise ValueError("n must be >= 1")
     N = spec.N
+    if len(l) != N:
+        raise ValueError("l must have length N")
     t = c0 * n**0.25
     ceil_c, partial = guarded_ceil(t)
     la = l[spec.alpha - 1]
@@ -389,9 +391,8 @@ def estimate_thm1(n: int, spec: ParitySpec, c0: float) -> EstimateTerms:
         raise ValueError("estimates support 2 <= N <= 6")
     if n < 1:
         raise ValueError("n must be >= 1")
-    main = _main_term(n, N, c0)
-
     ceil_c, partial = guarded_ceil(c0 * n**0.25)
+    main = _main_term(n, N, c0)
     counts = _delta_class_counts(N, spec.alpha, spec.beta, n % N, ceil_c % N)
     log_den = math.log(16.0 * _SQRT3) + (N - 0.5) * math.log(N)
     second = LogScaledValue.zero()
@@ -432,8 +433,8 @@ def estimate_thm2(n: int, spec: ParitySpec, c0: float) -> EstimateTerms:
         raise ValueError("n must be >= 1")
     _require_span_one(spec, "the aggregated two-term form")
     _pi_n(N)
-    main = _main_term(n, N, c0)
     _, partial = guarded_ceil(c0 * n**0.25)
+    main = _main_term(n, N, c0)
     coef = (spec.beta - spec.alpha) + N - 2.0 * N * partial
     second = _second_term(n, N, c0, coef, math.log(16.0 * math.sqrt(3.0 * N)))
     return EstimateTerms(main, second, main.plus(second))
@@ -623,7 +624,11 @@ def gaussian_tail_integrals(kappa_scaled: float, spec: ParitySpec) -> tuple[floa
     """
     N = spec.N
     t = kappa_scaled
-    c0_val = math.pi ** (N / 2.0) / 2.0 * erfc(t / math.sqrt(2.0))
+    try:
+        pi_half_n = math.pi ** (N / 2.0)
+    except OverflowError:  # from N = 1241 on, and for an N too large for a float
+        raise ValueError("N is too large: pi^(N/2) overflows a float") from None
+    c0_val = pi_half_n / 2.0 * erfc(t / math.sqrt(2.0))
     c1_val = (
         math.exp(-t * t / 2.0)
         * (spec.beta - spec.alpha)

@@ -165,38 +165,30 @@ def check_nr_expansion(A: float, R: int, *, bound: float | None = None) -> Check
         expansion = sum(nr_coefficient(A, B, r) * n ** (-r / 2.0) for r in range(R))
         residuals.append(abs(q - expansion))
 
-    label = f"A={A!r},R={R}"
     if R == 0:
         limit = "2 T_{A,B,0}" if bound is None else repr(bound)
         if bound is None:
             bound = 2.0 * nr_coefficient(A, B, 0)
         observed = max(residuals)
-        return CheckResult(
-            name=f"check_nr_expansion[{label}]",
-            passed=observed <= bound,
-            observed=observed,
-            bound=bound,
-            samples=len(ns),
-            notes=f"degenerate R=0: rescaled integral bounded by {limit}",
-        )
-
-    if bound is None:
-        bound = 3.0
-    worst = 0.0
-    fast_decay = False
-    for (n1, r1), (n2, r2) in zip(zip(ns, residuals), zip(ns[1:], residuals[1:])):
-        expected = (n1 / n2) ** (R / 2.0)
-        factor = 0.0 if r1 == 0.0 else (r2 / r1) / expected
-        worst = max(worst, factor)
-        if factor < 1.0 / 3.0:
-            fast_decay = True
-    notes = f"max (residual ratio)/(n1/n2)^(R/2) over consecutive n; residuals {residuals!r}"
-    if fast_decay:
-        notes += "; decay faster than the generic rate (leading omitted coefficient vanishes or is small)"
+        notes = f"degenerate R=0: rescaled integral bounded by {limit}"
+    else:
+        if bound is None:
+            bound = 3.0
+        observed = 0.0
+        fast_decay = False
+        for (n1, r1), (n2, r2) in zip(zip(ns, residuals), zip(ns[1:], residuals[1:])):
+            expected = (n1 / n2) ** (R / 2.0)
+            factor = 0.0 if r1 == 0.0 else (r2 / r1) / expected
+            observed = max(observed, factor)
+            if factor < 1.0 / 3.0:
+                fast_decay = True
+        notes = f"max (residual ratio)/(n1/n2)^(R/2) over consecutive n; residuals {residuals!r}"
+        if fast_decay:
+            notes += "; decay faster than the generic rate (leading omitted coefficient vanishes or is small)"
     return CheckResult(
-        name=f"check_nr_expansion[{label}]",
-        passed=worst <= bound,
-        observed=worst,
+        name=f"check_nr_expansion[A={A!r},R={R}]",
+        passed=observed <= bound,
+        observed=observed,
         bound=bound,
         samples=len(ns),
         notes=notes,

@@ -403,13 +403,23 @@ def _unpack(packed: int, W: int, top: int) -> list[int]:
     return _limbs(packed.to_bytes((top + 1) * Wb, "little"), Wb)
 
 
-def _sorted_counts(row: dict[int, int]) -> dict[int, int]:
-    return {k: row[k] for k in sorted(row)}
-
-
 # ---------------------------------------------------------------------------
 # class columns (Euler's identity), shared by every engine
 # ---------------------------------------------------------------------------
+
+
+def _lowest_degrees(r: int, N: int, n: int) -> list[int]:
+    """[low_0, low_1, ...]: low_j = rj + Nj(j-1)/2, the lowest degree of the
+    z^j column of a class whose smallest part is r, for every j with low_j <= n.
+
+    Built upward, one step low_j = low_{j-1} + r + N(j-1) per column, and
+    stopped at the first degree above n: at N >= n every part up to n is a
+    class of its own with at most two columns.
+    """
+    lows = [0]
+    while (low := lows[-1] + r + N * (len(lows) - 1)) <= n:
+        lows.append(low)
+    return lows
 
 
 def _class_columns(
@@ -417,26 +427,23 @@ def _class_columns(
 ) -> Iterator[tuple[int, int]]:
     """Yield (low_j, seed * X_j / q^{low_j}) for j = 0, 1, ... while low_j <= n.
 
-    X_j = q^{rj + Nj(j-1)/2} / prod_{i<=j} (1 - q^{Ni}) is Euler's closed form
-    for the z^j coefficient of prod_{p == r (mod N)} (1 + z q^p), with r in
-    1..N the smallest such part, and low_j = rj + Nj(j-1)/2 is its lowest
-    degree.  The seed is a packed series in q^g, where g is 1 or N, and so is
-    every column: limb i holds the coefficient of q^{low_j + g i}, for the
-    limbs i <= (n - low_j) / g that reach degree n.  Column j comes from
-    column j - 1 by a division by 1 - q^{Nj}, which is the product of
-    (1 + q^a) over a = Nj, 2Nj, 4Nj, ... <= n - low_j: one shifted add per
-    factor, over 1/g of the limbs a dense series would need.
+    X_j = q^{low_j} / prod_{i<=j} (1 - q^{Ni}) is Euler's closed form for the
+    z^j coefficient of prod_{p == r (mod N)} (1 + z q^p), with r in 1..N the
+    smallest such part and low_j its lowest degree (see _lowest_degrees).
+    The seed is a packed series in q^g, where g is 1 or N, and so is every
+    column: limb i holds the coefficient of q^{low_j + g i}, for the limbs
+    i <= (n - low_j) / g that reach degree n.  Column j comes from column
+    j - 1 by a division by 1 - q^{Nj}, which is the product of (1 + q^a)
+    over a = Nj, 2Nj, 4Nj, ... <= n - low_j: one shifted add per factor,
+    over 1/g of the limbs a dense series would need.
     """
-    x, low, j = seed, 0, 0
-    while True:
+    x = seed
+    for j, low in enumerate(_lowest_degrees(r, N, n)):
+        if j:
+            top = (n - low) // g
+            mask = (1 << (top + 1) * W) - 1
+            x = _divide_one_minus(x & mask, N * j // g, top, W, mask)
         yield low, x
-        low += r + N * j
-        j += 1
-        if low > n:
-            return
-        top = (n - low) // g
-        mask = (1 << (top + 1) * W) - 1
-        x = _divide_one_minus(x & mask, N * j // g, top, W, mask)
 
 
 def _divide_one_minus(x: int, a: int, top: int, W: int, mask: int) -> int:
@@ -479,9 +486,7 @@ def _alpha_rows(n: int, spec: ParitySpec, W: int) -> list[tuple[int, list[int], 
     """
     N, alpha = spec.N, spec.alpha
     Wb = W // 8
-    width = Counter(  # columns per class
-        low % N for j in range(m_max(n) + 1) if (low := alpha * j + N * j * (j - 1) // 2) <= n
-    )
+    width = Counter(low % N for low in _lowest_degrees(alpha, N, n))  # columns per class
     # one row-major table of limbs per class, filled column by column as the
     # columns are made, so no column outlives its copy into the table
     tables = {rho: bytearray(((n - rho) // N + 1) * k * Wb) for rho, k in width.items()}
@@ -497,17 +502,20 @@ def _alpha_rows(n: int, spec: ParitySpec, W: int) -> list[tuple[int, list[int], 
     return [(rho, js[rho], _limbs(tables.pop(rho), width[rho] * Wb)) for rho in width]
 
 
-def _class_factored_counts(n: int, spec: ParitySpec) -> dict[int, int]:
-    """f(k) = [q^n] sum_{j - l = k} A_j * B_l * D for one weight n.
+def pd_distribution(n: int, spec: ParitySpec) -> PdDistribution:
+    """Exact parity-difference distribution of the distinct-part partitions of n.
 
-    A_j and B_l are the alpha and beta class columns (see _class_columns) and
-    D is the neutral series (see _neutral_series).  The beta side is built as
-    E_l = B_l * D by seeding its recurrence with D, so no two series are ever
-    multiplied: only the degree-n coefficient of each A_j * E_l is needed.
-    Each E_l meets a class of alpha rows (see _alpha_rows) in one sum of
-    products sum_u rows[u] * E_l[n - rho - N u], whose limb i is the whole
-    coefficient [q^n] A_{js[i]} * E_l.
+    f(k) = [q^n] sum_{j - l = k} A_j * B_l * D, where A_j and B_l are the
+    alpha and beta class columns (see _class_columns) and D is the neutral
+    series (see _neutral_series).  The beta side is built as E_l = B_l * D by
+    seeding its recurrence with D, so no two series are ever multiplied: only
+    the degree-n coefficient of each A_j * E_l is needed.  Each E_l meets a
+    class of alpha rows (see _alpha_rows) in one sum of products
+    sum_u rows[u] * E_l[n - rho - N u], whose limb i is the whole coefficient
+    [q^n] A_{js[i]} * E_l.  The counts are listed in ascending k.
     """
+    if n < 0:
+        raise ValueError("n must be >= 0")
     N = spec.N
     W = _limb_width_bits(n)
     D = _neutral_series(n, spec, W)
@@ -526,14 +534,7 @@ def _class_factored_counts(n: int, spec: ParitySpec) -> dict[int, int]:
                 for j, c in zip(js, _unpack(acc, W, len(js) - 1)):
                     if c:
                         counts[j - l] = counts.get(j - l, 0) + c
-    return counts
-
-
-def pd_distribution(n: int, spec: ParitySpec) -> PdDistribution:
-    """Exact parity-difference distribution of the distinct-part partitions of n."""
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    return PdDistribution(n, spec, _sorted_counts(_class_factored_counts(n, spec)))
+    return PdDistribution(n, spec, {k: counts[k] for k in sorted(counts)})
 
 
 # ---------------------------------------------------------------------------
@@ -552,15 +553,9 @@ def _horner_columns(
     degrees end in the sentinel n + 1: no column pair past the last reaches
     degree n.
     """
-    N, beta = spec.N, spec.beta
-    low_a: list[int] = []
-    cols: list[int] = []
-    for low, x in _class_columns(D, 1, spec.alpha, N, n, W):
-        low_a.append(low)
-        cols.append(x)
-    low_b = [low for l in range(m_max(n) + 1) if (low := beta * l + N * l * (l - 1) // 2) <= n]
-    low_a.append(n + 1)
-    low_b.append(n + 1)
+    cols = [x for _, x in _class_columns(D, 1, spec.alpha, spec.N, n, W)]
+    low_a = _lowest_degrees(spec.alpha, spec.N, n) + [n + 1]
+    low_b = _lowest_degrees(spec.beta, spec.N, n) + [n + 1]
     return cols, low_a, low_b
 
 
@@ -571,17 +566,17 @@ def _horner_row(
     degree n, divided by q^e, where e is its lowest degree; G keeps limbs 0..n - e.
 
     cols, low_a and low_b are as _horner_columns returns them, and
-    low_a[max(k, 0)] <= n.  B_l = B_{l-1} * q^{beta + N(l-1)} / (1 - q^{Nl}),
-    so the sum is one Horner pass from its last column pair inward:
-    G <- cols[j_{l-1}] + q^{beta + N(l-1)} * G / (1 - q^{Nl}) for l = l1 .. 1,
-    starting at G = cols[j_{l1}], where j_l = max(k + l, 0).  Level l ends up
-    multiplied by B_l, whose lowest degree is low_b[l], so only its limbs of
-    degree <= n - low_b[l] are kept; the mask that keeps them truncates the
-    level's incoming column and then serves the division that follows.  G
-    holds each level divided by q^e as well, so the all-zero low limbs are
-    never added.
+    low_a[max(k, 0)] <= n.  B_l = B_{l-1} * q^{d_l} / (1 - q^{Nl}) with
+    d_l = low_b[l] - low_b[l-1], so the sum is one Horner pass from its last
+    column pair inward: G <- cols[j_{l-1}] + q^{d_l} * G / (1 - q^{Nl}) for
+    l = l1 .. 1, starting at G = cols[j_{l1}], where j_l = max(k + l, 0).
+    Level l ends up multiplied by B_l, whose lowest degree is low_b[l], so
+    only its limbs of degree <= n - low_b[l] are kept; the mask that keeps
+    them truncates the level's incoming column and then serves the division
+    that follows.  G holds each level divided by q^e as well, so the
+    all-zero low limbs are never added.
     """
-    N, beta = spec.N, spec.beta
+    N = spec.N
     # the levels whose column pair has a term of degree <= n: l in 0..l1
     l1 = 0
     while low_a[max(k + l1 + 1, 0)] + low_b[l1 + 1] <= n:
@@ -594,7 +589,7 @@ def _horner_row(
     for l in range(l1, 0, -1):
         G = _divide_one_minus(G, N * l, top, W, mask)
         j = max(k + l - 1, 0)
-        shift = e + beta + N * (l - 1) - low_a[j]
+        shift = e + low_b[l] - low_b[l - 1] - low_a[j]
         e = low_a[j]
         top = n - low_b[l - 1] - e
         mask = (1 << (top + 1) * W) - 1
@@ -607,62 +602,43 @@ def _horner_row(
 # ---------------------------------------------------------------------------
 
 
-def _family_rows(n: int, spec: ParitySpec, W: int) -> Iterator[tuple[int, int, int]]:
-    """Yield (k, e, G) for every difference row that reaches weight n, in ascending k.
-
-    G is the row, the packed series whose s-th W-bit limb is f_s(k), divided
-    by q^e, where e is the row's lowest degree; it keeps limbs 0..n - e.  A
-    row k >= 0 is a row of the pair itself (see _class_rows), a Horner pass
-    over the beta columns.  A row k < 0 is row -k of the swapped pair
-    (N, beta, alpha), by the reflection f_{alpha,beta}(k) = f_{beta,alpha}(-k)
-    (swapping the two classes and z with 1/z leaves the generating function
-    unchanged), so it is a Horner pass over the alpha columns.  The swapped
-    pass runs first, from its last row down, and each pass builds its columns
-    when it starts, so the two never hold their columns at the same time.
-    """
-    D = _neutral_series(n, spec, W)
-    # a generator expression, so no row of the first pass stays referenced
-    # while the second builds its columns
-    yield from ((-k, e, G) for k, e, G in _class_rows(D, spec.swapped(), n, W, descending=True))
-    yield from _class_rows(D, spec, n, W, descending=False)
-
-
-def _class_rows(
-    D: int, spec: ParitySpec, n: int, W: int, descending: bool
-) -> Iterator[tuple[int, int, int]]:
-    """Yield (k, e, G) for the rows k >= 0 of sum_l C_{k+l} * B_l, or for
-    k >= 1 from the last row down when descending.
-
-    C_j = D * A_j is the alpha stream and B_l the beta column of spec, and
-    each row is one Horner pass (see _horner_row) in which, since k >= 0,
-    every level adds a column.
-    """
-    cols, low_a, low_b = _horner_columns(D, spec, n, W)
-    for k in range(len(cols) - 1, 0, -1) if descending else range(len(cols)):
-        e, G = _horner_row(k, cols, low_a, low_b, spec, n, W)
-        if not descending:
-            cols[k] = 0  # rows above k start at column k + 1
-        yield k, e, G
-
-
 def pd_distribution_family(n_max: int, spec: ParitySpec) -> list[PdDistribution]:
     """Distributions at every weight 0..n_max from one pass; list index = weight.
 
     Every packed series carries one limb per weight, so the whole family
     costs one pass at n_max: closed-form neutral and class columns, then one
-    Horner pass over the columns of one class per difference row (see the
-    module docstring for its cost).  Each row is unpacked as soon as it is
-    made, so no more than one packed row is held at a time.
+    Horner pass (see _horner_row) per difference row, whose s-th limb is
+    f_s(k).  A row k >= 0 is sum_l C_{k+l} * B_l, a Horner pass over the
+    beta columns.  A row k < 0 is row -k of the swapped pair (N, beta,
+    alpha), by the reflection f_{alpha,beta}(k) = f_{beta,alpha}(-k)
+    (swapping the two classes and z with 1/z leaves the generating function
+    unchanged), so it is a Horner pass over the alpha columns; either way,
+    since the pass's own k is >= 0, every level adds a column (see the
+    module docstring for the cost).  The swapped pass runs first, from its
+    last row down, so each weight's keys ascend.  Each row is unpacked as
+    soon as it is made and dropped, so no more than one packed row is held
+    at a time, and each pass builds its columns when it starts, after the
+    other's are dropped.
     """
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
     W = _limb_width_bits(n_max)
+    D = _neutral_series(n_max, spec, W)
     rows: list[dict[int, int]] = [{} for _ in range(n_max + 1)]
-    for k, e, G in _family_rows(n_max, spec, W):
-        for s, c in enumerate(_unpack(G, W, n_max - e), e):
-            if c:
-                rows[s][k] = c
-        del G  # hold no row while _family_rows builds its next columns
+    for swapped in (True, False):
+        pair = spec.swapped() if swapped else spec
+        cols, low_a, low_b = _horner_columns(D, pair, n_max, W)
+        for k in range(len(cols) - 1, 0, -1) if swapped else range(len(cols)):
+            e, G = _horner_row(k, cols, low_a, low_b, pair, n_max, W)
+            if not swapped:
+                cols[k] = 0  # rows above k start at column k + 1
+            key = -k if swapped else k  # one key object per row
+            for s, c in enumerate(_unpack(G, W, n_max - e), e):
+                if c:
+                    rows[s][key] = c
+            del G
+        del cols  # the next pass builds its own columns
+    del D  # hold only the counts while the records are built
     return [PdDistribution(s, spec, row) for s, row in enumerate(rows)]
 
 

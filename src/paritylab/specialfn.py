@@ -89,20 +89,16 @@ def _erf_series(x: float) -> float:
 def _erfc_cf(x: float) -> float:
     # the continued fraction f(x) = x + (1/2)/(x + 1/(x + (3/2)/(x + ...))),
     # with erfc(x) = e^{-x^2} / (sqrt(pi) f(x)), evaluated by the modified
-    # Lentz algorithm; rapidly convergent for x > 2.
-    tiny = 1e-300
-    f = x if x != 0.0 else tiny
+    # Lentz algorithm; rapidly convergent for x > 2.  Both callers pass
+    # x >= 2, so f, c and every denominator d stay positive and the
+    # algorithm's usual guards against a zero denominator are not needed.
+    f = x
     c = f
     d = 0.0
     for i in range(1, 300):
         a = i / 2.0
-        d = x + a * d
-        if d == 0.0:
-            d = tiny
+        d = 1.0 / (x + a * d)
         c = x + a / c
-        if c == 0.0:
-            c = tiny
-        d = 1.0 / d
         delta = c * d
         f *= delta
         if abs(delta - 1.0) < 1e-17:
@@ -113,7 +109,7 @@ def _erfc_cf(x: float) -> float:
 def erfc(x: float) -> float:
     """Complementary error function 2/sqrt(pi) * integral_x^inf e^{-t^2} dt."""
     if math.isnan(x):
-        raise ValueError("erfc requires a finite argument")
+        raise ValueError("erfc is undefined at NaN")
     if x < 0.0:
         return 2.0 - erfc(-x)
     if x <= 2.0:

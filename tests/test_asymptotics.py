@@ -201,8 +201,8 @@ def test_guarded_ceil_values():
 
 @pytest.mark.parametrize("c0", [math.inf, -math.inf, math.nan])
 def test_a_non_finite_threshold_raises_value_error(c0):
-    # the threshold c0 n^{1/4} reaches guarded_ceil in each of these; a NaN c0
-    # is refused by erfc first in the estimates
+    # the threshold c0 n^{1/4} reaches guarded_ceil in each of these, and the
+    # estimates take it before any erfc, so a NaN c0 gets the threshold message
     spec = ParitySpec(2, 1, 2)
     calls = (
         lambda: guarded_ceil(c0),
@@ -211,8 +211,14 @@ def test_a_non_finite_threshold_raises_value_error(c0):
         lambda: estimate_thm2(100, spec, c0),
     )
     for call in calls:
-        with pytest.raises(ValueError, match="finite"):
+        with pytest.raises(ValueError, match="threshold must be finite"):
             call()
+
+
+@pytest.mark.parametrize("l", [(0,), (0, 1, 2)])
+def test_boundary_data_refuses_a_tuple_of_the_wrong_length(l):
+    with pytest.raises(ValueError, match="l must have length N"):
+        boundary_data(1.0, 100, l, ParitySpec(2, 1, 2))
 
 
 @given(
@@ -501,6 +507,18 @@ def test_pairwise_sum_equals_numpy_complex_sum(m):
 # ---------------------------------------------------------------------------
 # Gaussian tail integrals
 # ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("N", [1241, 1300, 10**400], ids=["1241", "1300", "10**400"])
+def test_gaussian_tails_refuse_a_modulus_whose_pi_power_overflows(N):
+    # pi^{N/2} overflows a float from N = 1241 on; 10**400 is too large for
+    # a float itself
+    with pytest.raises(ValueError, match=r"N is too large: pi\^\(N/2\) overflows a float"):
+        gaussian_tail_integrals(1.0, ParitySpec(N, 1, 2))
+
+
+def test_gaussian_tails_are_finite_below_the_overflow():
+    assert all(map(math.isfinite, gaussian_tail_integrals(1.0, ParitySpec(1240, 1, 2))))
 
 
 @pytest.mark.parametrize("t", [0.0, 0.8])

@@ -528,6 +528,19 @@ def test_huge_gate(capsys):
     assert out.startswith("n,c,count\n3200,0,")
 
 
+def test_huge_config_line_is_the_flag(capsys, tmp_path):
+    argv = ("count", "--n", "3200", "--c", "0")
+    _, flag_out, _ = run_cli(capsys, *argv, "--huge")
+    cfg = tmp_path / "run.cfg"
+    for value in ("true", "yes", "on", "1"):
+        cfg.write_text(f"huge={value}\n")
+        assert run_cli(capsys, *argv, "--config", str(cfg)) == (0, flag_out, ""), value
+    cfg.write_text("huge=false\n")
+    code, out, err = run_cli(capsys, *argv, "--config", str(cfg))
+    assert (code, out) == (2, "")
+    assert "--huge" in err
+
+
 @pytest.mark.parametrize(
     "argv, top",
     [

@@ -47,7 +47,8 @@ def test_erfc_extremes():
     assert erfc(0.0) == 1.0
     assert erfc(40.0) == 0.0  # e^{-1600} underflows; the limit is exact
     assert erfc(-40.0) == 2.0
-    with pytest.raises(ValueError):
+    assert (erfc(math.inf), erfc(-math.inf)) == (0.0, 2.0)
+    with pytest.raises(ValueError, match="erfc is undefined at NaN"):
         erfc(math.nan)
 
 
