@@ -485,13 +485,22 @@ def _recip_gamma(x: float) -> float:
     return math.gamma(1.0 - x) * math.sin(math.pi * x) / math.pi
 
 
+def _require_finite(**values: float) -> None:
+    """Refuse a NaN or infinite argument with a ValueError that names it."""
+    for name, value in values.items():
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value!r}")
+
+
 def nr_coefficient(A: float, B: float, r: int) -> float:
     """T_{A,B,r} = (-4B)^{-r} B^{A+1/2} Gamma(A+r+3/2) / (2 sqrt(pi) r! Gamma(A-r+3/2)).
 
     When A - r + 3/2 hits a non-positive integer the reciprocal gamma factor
     vanishes and the coefficient is exactly 0 (for A = 1/2 this kills every
-    r >= 2, so the expansion terminates).
+    r >= 2, so the expansion terminates).  A NaN or infinite A or B raises
+    ValueError.
     """
+    _require_finite(A=A, B=B)
     if A < 0:
         raise ValueError("A must be >= 0")
     if B <= 0:
@@ -560,8 +569,9 @@ def nr_contour_integral(A: float, B: float, n: int) -> complex:
     |z| < 1/2 where n > 8 B^2 (n >= 14 for the verify suite's B = pi/sqrt 6);
     there CPython's complex log and the C library's take the same route too,
     and the result equals numpy's bit for bit.  The result depends only on
-    the arguments and is cached.
+    the arguments and is cached.  A NaN or infinite A or B raises ValueError.
     """
+    _require_finite(A=A, B=B)
     if B <= 0:
         raise ValueError("B must be > 0")
     if n < 1:
@@ -603,7 +613,7 @@ def nr_contour_integral(A: float, B: float, n: int) -> complex:
 
     t1 = trap(ys[::2], gs[::2])
     t2 = trap(ys, gs)
-    if abs(t2 - t1) > 1e-6:
+    if not abs(t2 - t1) <= 1e-6:
         raise ArithmeticError(
             f"contour quadrature not converged: |T2-T1| = {abs(t2 - t1):.3e}"
         )

@@ -169,7 +169,7 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--c0", type=float, default=0.0, help="threshold scale: cut at c0 * n^(1/4)"
     )
-    parser.add_argument("--c", type=float, default=0.0, help="fixed threshold / bias level")
+    parser.add_argument("--c", type=float, default=0.0, help="count's threshold: difference >= c")
     parser.add_argument("--format", choices=OUTPUT_FORMATS, default="csv")
     parser.add_argument("--out", metavar="PATH")
     parser.add_argument(

@@ -315,8 +315,8 @@ def euler_maclaurin(
                            + residual.
 
     f (and its derivatives) must decay rapidly along the ray; growth of the
-    summand is detected and aborts.  `derivative(order, x)` is the exact
-    order-th derivative of f at x.
+    summand, or a NaN or infinite term, is detected and aborts.
+    `derivative(order, x)` is the exact order-th derivative of f at x.
     """
     if R < 0:
         raise ValueError("R must be >= 0")
@@ -334,6 +334,8 @@ def euler_maclaurin(
         term = complex(f(nn * z))
         total += term
         mag = abs(term)
+        if not math.isfinite(mag):
+            raise ArithmeticError(f"summand is not finite at n = {nn}: {term!r}")
         if mag < 1e-18:
             tiny_run += 1
             if tiny_run >= 3:

@@ -473,6 +473,23 @@ def test_nr_contour_preconditions():
         nr_contour_integral(0.0, math.pi, 1)
 
 
+@pytest.mark.parametrize(
+    "call, name",
+    [
+        (lambda B: nr_contour_integral(math.nan, B, 400), "A"),
+        (lambda B: nr_contour_integral(math.inf, B, 400), "A"),
+        (lambda B: nr_coefficient(0.0, math.nan, 1), "B"),
+        (lambda B: nr_coefficient(0.5, math.inf, 1), "B"),
+        (lambda B: nr_coefficient(math.nan, B, 1), "A"),
+    ],
+    ids=["contour_nan_A", "contour_inf_A", "coefficient_nan_B", "coefficient_inf_B",
+         "coefficient_nan_A"],
+)
+def test_a_non_finite_contour_argument_raises_value_error(call, name):
+    with pytest.raises(ValueError, match=f"{name} must be finite, got (nan|inf)"):
+        call(math.pi / math.sqrt(6.0))
+
+
 # The verify suite's four integrals, then A and n one at a time around them.
 # n = 14 is the smallest weight whose contour stays inside |z| < 1/2
 # (n > 8 B^2 = 13.16).  theta and mesh tell the oracle the package's one

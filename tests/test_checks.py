@@ -1,5 +1,8 @@
 import json
+import math
 from fractions import Fraction
+from functools import partial
+from types import SimpleNamespace
 
 import pytest
 
@@ -169,3 +172,40 @@ def test_emf_check_catches_wrong_bernoulli(monkeypatch):
     res = check_emf()
     assert not res.passed
     assert res.observed > res.bound
+
+
+# ---------------------------------------------------------------------------
+# a NaN sample fails its check
+# ---------------------------------------------------------------------------
+
+NAN = float("nan")
+
+
+# (numeric source in checks, which call returns NaN, the NaN it returns,
+# the check); the NaN is never the check's first sample, which the builtin
+# max would keep
+@pytest.mark.parametrize(
+    "source, is_nan_call, nan, check",
+    [
+        ("s_of_y", lambda y, N: 1.0 < y < 2.0, NAN, partial(check_sy_negativity, 2)),
+        ("s_of_y", lambda y, N: y == 1e-2, NAN, partial(check_sy_taylor, 2)),
+        *(
+            ("nr_contour_integral", lambda A, B, n: n == 1600, complex(NAN, NAN),
+             partial(check_nr_expansion, 0.0, R))
+            for R in (0, 1, 2)
+        ),
+        ("euler_maclaurin", lambda f, *a, **kw: f is checks._EMF_PROFILES[1][1],
+         SimpleNamespace(residual=complex(NAN, 0.0)), check_emf),
+        ("lambda_y", lambda y, N: N == 6, complex(NAN, 0.0), check_lambda_identity),
+    ],
+    ids=["sy_negativity", "sy_taylor", "nr_expansion_R0", "nr_expansion_R1",
+         "nr_expansion_R2", "emf", "lambda_identity"],
+)
+def test_a_nan_sample_fails_its_check(monkeypatch, source, is_nan_call, nan, check):
+    real = getattr(checks, source)
+    monkeypatch.setattr(
+        checks, source, lambda *a, **kw: nan if is_nan_call(*a, **kw) else real(*a, **kw)
+    )
+    res = check()
+    assert res.passed is False
+    assert math.isnan(res.observed)

@@ -284,3 +284,11 @@ def test_emf_rejects_growth_and_bad_args():
         euler_maclaurin(_exp, 0.5, R=-1, derivative=_dexp)
     with pytest.raises(TypeError):
         euler_maclaurin(_exp, 0.5, R=1)  # the derivative is required
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_emf_stops_at_the_first_non_finite_term(bad):
+    # e^{-t} until the term at n = 3 (t = 0.3), which is NaN or infinite
+    summand = lambda t: _exp(t) if t.real < 0.25 else complex(bad)
+    with pytest.raises(ArithmeticError, match=r"summand is not finite at n = 3"):
+        euler_maclaurin(summand, 0.1, R=1, derivative=_dexp)
