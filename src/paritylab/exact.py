@@ -16,9 +16,12 @@ holds a coefficient, so multiplying by 1 + q^p is one shifted big-integer
 addition, truncated at degree n.  Each class column is kept shifted down by
 its lowest degree, truncated to the limbs that reach degree n, and, when it
 is a series in q^N, packed in q^N: limb i holds the coefficient of
-q^{low + N i}, so its divisions touch 1/N of the limbs.  That is every alpha
-column of one weight, and every beta column too when N = 2 leaves no
-neutral class.  Each job runs exactly one engine:
+q^{low + N i}, so its divisions touch 1/N of the limbs.  Such a column lies
+in one lane, the degrees == low (mod N).  A column seeded by a dense series
+is dense too, so the engines keep a series packed in q^N wherever its
+lanes allow: the neutral product builds its first two classes in lanes,
+and the single-weight engine puts the neutral product on the side where
+the other side's columns stay packed.  Each job runs exactly one engine:
 
 * pd_distribution (one weight n) uses the class-factored engine.  The
   generating function factorises by residue class,
@@ -28,20 +31,27 @@ neutral class.  Each job runs exactly one engine:
 
   and Euler's identity puts each class side in closed form: the z^j column of
   the alpha side is A_j = q^{alpha j + N j(j-1)/2} / prod_{i<=j} (1 - q^{Ni}),
-  and likewise B_l on the beta side.  The neutral product D, the columns A_j
-  and the columns E_l = B_l * D are all built by doubling adds (a division
-  by 1 - q^a is the product of 1 + q^a, 1 + q^{2a}, ...), and f(k) is the
-  degree-n coefficient of sum_{j - l = k} A_j * E_l.  The alpha columns are
-  transposed once into row integers, one list per residue class
-  rho = low_j mod N: limb i of row u is A_j[rho + N u] for the i-th column
-  of the class.  Each E_l meets each class in one sum of products
-  sum_u row_u * E_l[n - rho - N u], and limb i of that sum is the whole
-  coefficient [q^n] A_j * E_l of one column pair.  Every limb of every E_l
-  multiplies at most one row, so the Python-level work is at most one
-  product per beta limb (30 000 to 60 000 at the class pairs and weights
-  2000-2340 of perfbench's `single` workload), and the limb products, one
-  per column pair and degree that can be nonzero (0.2 to 0.45 million
-  there), run inside CPython's multiplication.
+  and likewise B_l on the beta side.  The neutral product D and the columns
+  are all built by doubling adds (a division by 1 - q^a is the product of
+  1 + q^a, 1 + q^{2a}, ...).  D rides on one side, as the seed of its
+  recurrence.  When beta = N every B_l lies in lane 0, so D rides on the
+  alpha side: C_j = A_j * D is dense, and E_l = B_l stays packed in q^N (a
+  pair with alpha = N > 2 runs as its swapped pair, with the keys negated).
+  Otherwise C_j = A_j is packed and E_l = B_l * D, dense unless N = 2
+  leaves no neutral class.  f(k) is the degree-n coefficient of
+  sum_{j - l = k} C_j * E_l.  The alpha columns are transposed once into
+  row integers, one list per lane rho that some beta column meets: limb i
+  of row u is C_j[rho + N u] for the i-th column that reaches the lane.  A
+  beta column packed in q^N meets only the lane rho == n - low_l, which is
+  the one lane n mod N when beta = N; a dense one meets every lane.  Each
+  E_l meets a lane in one sum of products sum_u row_u * E_l[n - rho - N u],
+  and limb i of that sum is the whole coefficient [q^n] C_j * E_l of one
+  column pair.  Every limb of every E_l multiplies at most one row, so the
+  Python-level work is at most one product per beta limb (19 000 to 50 000
+  at the class pairs and weights 2000-2340 of perfbench's `single`
+  workload), and the limb products, one per column pair and degree that
+  can be nonzero (0.18 to 0.43 million there), run inside CPython's
+  multiplication.
 * pd_distribution_family (every weight s <= n_max) makes one packed row
   per difference k, whose s-th limb is f_s(k).  The same closed forms are
   full series truncated at degree n_max, so they carry every weight at once:
@@ -75,22 +85,23 @@ neutral class.  Each job runs exactly one engine:
   row, and indexed at the weights that carry its threshold, so no buffer
   depends on the step between them.  In process, at weights 1200-1430,
   one tail is 5 to 25 times faster than the family pass and its sums, and
-  at one weight it is faster than the class-factored engine (1.5 to 3
+  at one weight it is faster than the class-factored engine (about 2
   times at 2000-2340, 3 times at 10 000 for N = 2).
 
 Limbs never overflow.  Every limb at degree s <= n of every packed series
 an engine builds (A_j, B_l, E_l, D, C_j, C'_l and every partial sum on
 the way to them) is coefficientwise at most a series that counts partitions
 of s into distinct parts, so it is at most d(s) <= d(n); shifting a column
-down or packing it in q^N moves its limbs but not their values.  So is
-every limb of a single-weight sum of products: limb i of each partial sum
-is part of [q^n] A_j * E_l, one column pair's share of f(j - l) <= d(n),
-and adding a product of nonnegative limbs only raises it towards that
-share.  So is every Horner level of a family row, in either class order,
-and of a tail row.  Write the row as sum_l Y_{k+l} * X_l with k >= 0, where X_l is the column
-the Horner pass divides by and Y_j the stream column it adds: X = B and
-Y = C for rows k >= 0, X = A and Y = C' for the swapped pair's rows, which
-are the rows -k.  Level l is G^(l) = sum_{l' >= l} Y_{k+l'} * X_{l'} / X_l,
+down or packing it in q^N, or splitting it into lanes, moves its limbs
+but not their values.  So is every limb of a single-weight sum of
+products: limb i of each partial sum is part of [q^n] C_j * E_l, one
+column pair's share of f(j - l) <= d(n), whichever side D rides on, and
+adding a product of nonnegative limbs only raises it towards that share.
+So is every Horner level of a family row, in either class order, and of a
+tail row.  Write the row as sum_l Y_{k+l} * X_l with k >= 0, where X_l is
+the column the Horner pass divides by and Y_j the stream column it adds:
+X = B and Y = C for rows k >= 0, X = A and Y = C' for the swapped pair's
+rows, which are the rows -k.  Level l is G^(l) = sum_{l' >= l} Y_{k+l'} * X_{l'} / X_l,
 and since X_{l'} = X_l * (X_{l'} / X_l), where X_l / q^{low_l} =
 1 / prod_{i<=l} (1 - q^{Ni}) has constant term 1 and nonnegative
 coefficients (for either class), q^{low_l} G^(l) <= sum_{l'} Y_{k+l'}
@@ -121,7 +132,6 @@ import itertools
 import math
 import operator
 import struct
-from collections import Counter
 from collections.abc import Iterator, Sequence
 
 __all__ = [
@@ -461,13 +471,43 @@ def _divide_one_minus(x: int, a: int, top: int, W: int, mask: int) -> int:
 
 
 def _neutral_series(n: int, spec: ParitySpec, W: int) -> int:
-    """D = prod (1 + q^p) over the parts p <= n in neither class, packed."""
+    """D = prod (1 + q^p) over the parts p <= n in neither class, packed.
+
+    Each neutral class r multiplies D by sum_j X_j (Euler's identity at
+    z = 1), one column at a time.  While D is a series in q^N, so is each
+    column D * X_j / q^{low_j}: the class is built packed in q^N, and each
+    column lies in the lane low_j mod N.  So class N (when it is neutral) is
+    built first, seeded by 1, and its product lies in lane 0; the next
+    neutral class, seeded by that product, is built packed too.  Their
+    columns are summed lane by lane as they are made, in a dict (when N > n
+    only a few of the N lanes are reached), and the lanes are then spread
+    into one dense series by strided byte copies.  Only the classes after
+    those are built dense, over every limb.
+    """
     N = spec.N
-    D = 1
-    for r in range(1, min(N, n) + 1):  # a class with no part <= n is the factor 1
-        if r != spec.alpha and r != spec.beta:
-            # D * prod_{p == r} (1 + q^p) = sum_j D * X_j, by Euler's identity at z = 1
-            D = sum(x << low * W for low, x in _class_columns(D, 1, r, N, n, W))
+    Wb = W // 8
+    # a class with no part <= n is the factor 1
+    neutral = [r for r in range(1, min(N, n) + 1) if r != spec.alpha and r != spec.beta]
+    if not neutral:
+        return 1
+    if neutral[-1] == N:
+        neutral.insert(0, neutral.pop())  # class N first
+    packed = 2 if neutral[0] == N else 1  # the classes built in lanes
+    lanes = {0: 1}  # limb i of lanes[lam] holds the coefficient of q^{lam + N i}
+    for r in neutral[:packed]:
+        seed = lanes.pop(0)  # D is a series in q^N so far
+        for low, x in _class_columns(seed, N, r, N, n, W):
+            lanes[low % N] = lanes.get(low % N, 0) + (x << low // N * W)
+    dense = bytearray((n + 1) * Wb)
+    while lanes:
+        lam, x = lanes.popitem()
+        blob = x.to_bytes(((n - lam) // N + 1) * Wb, "little")
+        for b in range(Wb):  # byte b of each limb of the lane
+            dense[lam * Wb + b :: N * Wb] = blob[b::Wb]
+    D = int.from_bytes(dense, "little")
+    del x, blob, dense  # not held while the dense classes are built
+    for r in neutral[packed:]:
+        D = sum(x << low * W for low, x in _class_columns(D, 1, r, N, n, W))
     return D
 
 
@@ -475,31 +515,74 @@ def _neutral_series(n: int, spec: ParitySpec, W: int) -> int:
 # one weight
 # ---------------------------------------------------------------------------
 
+_TABLE_BLOCK_BYTES = 1 << 20  # the most bytes of transposed limbs in one block of rows
 
-def _alpha_rows(n: int, spec: ParitySpec, W: int) -> list[tuple[int, list[int], list[int]]]:
-    """The alpha columns A_j transposed: one (rho, js, rows) per residue class.
 
-    A_j is q^{low_j} times a series in q^N, so its terms lie at the degrees
-    rho + N u with rho = low_j mod N.  The columns j of class rho
-    (in js, ascending) are laid side by side: limb i of rows[u] is
-    A_{js[i]}[rho + N u], zero below the column's lowest degree.
+def _alpha_rows(
+    n: int, spec: ParitySpec, W: int, seed: int, lanes: set[int]
+) -> list[tuple[int, list[int], list[int]]]:
+    """The alpha columns C_j = seed * A_j transposed: one (rho, js, rows) per
+    lane rho of `lanes` that some column reaches.
+
+    Lane rho holds the degrees rho + N u.  Seeded by 1, C_j = A_j is
+    q^{low_j} times a series in q^N, built packed in q^N, and lies in the
+    one lane low_j mod N.  Seeded by a dense series, C_j is built dense and
+    reaches every lane with a degree in low_j..n, and only the lanes asked
+    for are copied out of it.  The columns j that reach lane rho (in js,
+    ascending) are laid side by side: limb i of rows[u] is
+    C_{js[i]}[rho + N u], zero below the column's lowest degree.  Each
+    lane's limbs are copied into row-major byte tables as the columns are
+    made, so no column outlives its copy.  A table holds a block of rows,
+    of _TABLE_BLOCK_BYTES at most (or one row), and only the columns that
+    reach the block, and the tables are turned into rows one at a time, so
+    no more than one block is held both as bytes and as rows.
     """
-    N, alpha = spec.N, spec.alpha
+    N = spec.N
     Wb = W // 8
-    width = Counter(low % N for low in _lowest_degrees(alpha, N, n))  # columns per class
-    # one row-major table of limbs per class, filled column by column as the
-    # columns are made, so no column outlives its copy into the table
-    tables = {rho: bytearray(((n - rho) // N + 1) * k * Wb) for rho, k in width.items()}
-    js: dict[int, list[int]] = {rho: [] for rho in width}
-    for j, (low, x) in enumerate(_class_columns(1, N, alpha, N, n, W)):
-        rho = low % N
-        i, k = len(js[rho]), width[rho]
-        js[rho].append(j)
-        blob = (x << (low - rho) // N * W).to_bytes(((n - rho) // N + 1) * Wb, "little")
-        # byte b of limb i of every row is a stride-(k Wb) slice of the table
-        for b in range(Wb):
-            tables[rho][i * Wb + b :: k * Wb] = blob[b::Wb]
-    return [(rho, js[rho], _limbs(tables.pop(rho), width[rho] * Wb)) for rho in width]
+    g = N if seed == 1 else 1
+    lows = _lowest_degrees(spec.alpha, N, n)
+    tables = []  # (rho, js, blocks of (first row, columns, table))
+    slots: dict[int, list] = {}  # j: (rho, i, first row, blocks) of each lane it reaches
+    for rho in lanes:
+        # the columns j that reach lane rho, and the row of each one's first term there
+        js = [
+            j for j, low in enumerate(lows) if (rho - low) % N % g == 0 and low + (rho - low) % N <= n
+        ]
+        if not js:
+            continue
+        first = [-((rho - lows[j]) // N) for j in js]
+        height = (n - rho) // N + 1
+        per = max(1, _TABLE_BLOCK_BYTES // (len(js) * Wb))
+        # the block of rows u.. holds the columns whose first row is below its
+        # end, a prefix of js since the rows ascend with j (and at least one
+        # column, so that its all-zero rows are limbs too)
+        blocks = []
+        for u in range(0, height, per):
+            k = max(1, sum(f < u + per for f in first))
+            blocks.append((u, k, bytearray(min(per, height - u) * k * Wb)))
+        tables.append((rho, js, blocks))
+        for i, j in enumerate(js):
+            slots.setdefault(j, []).append((rho, i, first[i], blocks))
+    for j, (low, x) in enumerate(_class_columns(seed, g, spec.alpha, N, n, W)):
+        if j not in slots:
+            continue
+        blob = x.to_bytes(((n - low) // g + 1) * Wb, "little")
+        step = N // g * Wb  # the stride of a lane's limbs in blob
+        for rho, i, u0, blocks in slots.pop(j):
+            for u, k, block in blocks:
+                v = max(u0, u)  # the column's first row in the block, and its rows there
+                count = len(block) // (k * Wb) - (v - u)
+                if count > 0:
+                    src = (rho + N * v - low) // g * Wb
+                    # byte b of limb i of every row is a stride-(k Wb) slice of the block
+                    dst = ((v - u) * k + i) * Wb
+                    for b in range(Wb):
+                        block[dst + b :: k * Wb] = blob[src + b : src + count * step : step]
+        del blob  # not held while the next column is made
+    for rho, js, blocks in tables:
+        for b, (_, k, block) in enumerate(blocks):
+            blocks[b] = _limbs(block, k * Wb)  # the table goes when `block` moves on
+    return [(rho, js, list(itertools.chain.from_iterable(blocks))) for rho, js, blocks in tables]
 
 
 def pd_distribution(n: int, spec: ParitySpec) -> PdDistribution:
@@ -507,33 +590,51 @@ def pd_distribution(n: int, spec: ParitySpec) -> PdDistribution:
 
     f(k) = [q^n] sum_{j - l = k} A_j * B_l * D, where A_j and B_l are the
     alpha and beta class columns (see _class_columns) and D is the neutral
-    series (see _neutral_series).  The beta side is built as E_l = B_l * D by
-    seeding its recurrence with D, so no two series are ever multiplied: only
-    the degree-n coefficient of each A_j * E_l is needed.  Each E_l meets a
-    class of alpha rows (see _alpha_rows) in one sum of products
-    sum_u rows[u] * E_l[n - rho - N u], whose limb i is the whole coefficient
-    [q^n] A_{js[i]} * E_l.  The counts are listed in ascending k.
+    series (see _neutral_series).  D rides on one side, as the seed of that
+    side's recurrence, so no two series are ever multiplied: only the
+    degree-n coefficient of each column pair's product is needed.  With
+    beta = N every B_l lies in lane 0 (its degrees are multiples of N), so D
+    rides on the alpha side, C_j = A_j * D, and E_l = B_l stays packed in
+    q^N.  A pair with alpha = N > 2 runs as its swapped pair, with the keys
+    negated (f_{alpha,beta}(k) = f_{beta,alpha}(-k)).  Otherwise C_j = A_j
+    and E_l = B_l * D.  Each beta column meets a lane of alpha rows (see
+    _alpha_rows) in one sum of products sum_u rows[u] * E_l[n - rho - N u],
+    whose limb i is the whole coefficient [q^n] C_{js[i]} * E_l.  A beta
+    column packed in q^N meets only the lane rho == n - low_l, so only the
+    lanes that some beta column meets are transposed, and a beta column
+    that meets none is never unpacked.  The counts are listed in ascending
+    k.
     """
     if n < 0:
         raise ValueError("n must be >= 0")
     N = spec.N
+    if spec.alpha == N > 2:  # with N = 2 no neutral class leaves D = 1 to ride on either side
+        swapped = pd_distribution(n, spec.swapped())
+        return PdDistribution(n, spec, {-k: c for k, c in reversed(swapped.counts.items())})
     W = _limb_width_bits(n)
     D = _neutral_series(n, spec, W)
-    alpha_rows = _alpha_rows(n, spec, W)
-    g = N if D == 1 else 1  # without neutral classes E_l is a series in q^N too
+    seed_a, seed_b = (D, 1) if spec.beta == N else (1, D)
+    g = N if seed_b == 1 else 1  # the beta columns are packed in q^g
+    if g == N:
+        lanes = {(n - low) % N for low in _lowest_degrees(spec.beta, N, n)}
+    else:  # a dense beta column meets every lane of the (packed) alpha columns
+        lanes = {low % N for low in _lowest_degrees(spec.alpha, N, n)}
+    alpha_rows = _alpha_rows(n, spec, W, seed_a, lanes)
     counts: dict[int, int] = {}
-    for l, (low_e, x) in enumerate(_class_columns(D, g, spec.beta, N, n, W)):
-        e = _unpack(x, W, (n - low_e) // g)  # e[i] = E_l[low_e + g i]
+    for l, (low_e, x) in enumerate(_class_columns(seed_b, g, spec.beta, N, n, W)):
+        e = None  # e[i] = E_l[low_e + g i], unpacked when E_l first meets a lane
         for rho, js, rows in alpha_rows:
             # rows[u] meets E_l at degree n - rho - N u, limb (d - N u) / g of e
             d = n - rho - low_e
             if d < 0 or d % g:
                 continue
+            e = e or _unpack(x, W, (n - low_e) // g)
             acc = sum(map(operator.mul, rows, e[d // g :: -(N // g)]))
             if acc:
                 for j, c in zip(js, _unpack(acc, W, len(js) - 1)):
                     if c:
                         counts[j - l] = counts.get(j - l, 0) + c
+        del e  # not held while the next column is made
     return PdDistribution(n, spec, {k: counts[k] for k in sorted(counts)})
 
 

@@ -466,6 +466,124 @@ def test_single_engine_matches_dot_products(spec, n):
     assert list(pd_distribution(n, spec).counts.items()) == list(ref.items())
 
 
+@pytest.mark.parametrize("N", [3, 4, 5, 6])
+def test_single_engine_with_a_class_n_matches_dot_products(N):
+    # beta = N puts the neutral series on the transposed alpha side and keeps
+    # each beta column packed in q^N; alpha = N runs as the swapped pair
+    for other in range(1, N):
+        for a, b in ((other, N), (N, other)):
+            ref = oracles.dot_product_counts(1000, N, a, b)
+            counts = pd_distribution(1000, ParitySpec(N, a, b)).counts
+            assert list(counts.items()) == list(ref.items()), (N, a, b)
+
+
+def _dense_neutral_product(n, spec, W):
+    mask = (1 << (n + 1) * W) - 1
+    D = 1
+    for p in range(1, n + 1):
+        if p % spec.N not in (spec.alpha % spec.N, spec.beta % spec.N):
+            D = (D + (D << p * W)) & mask
+    return D
+
+
+def test_neutral_series_is_the_dense_product():
+    # class N and the next neutral class are built lane by lane in q^N and
+    # spread into one dense series; against one shifted add per neutral part
+    specs = [
+        ParitySpec(N, a, b)
+        for N in range(2, 9)
+        for a in range(1, N + 1)
+        for b in range(1, N + 1)
+        if a != b
+    ]
+    # N > n: a few lanes of a huge modulus, with and without class N neutral
+    specs += [ParitySpec(10**12, 1, 2), ParitySpec(10**12, 10**12, 3), ParitySpec(97, 5, 97)]
+    for spec in specs:
+        for n in range(81):
+            W = _limb_width_bits(n)
+            dense = _dense_neutral_product(n, spec, W)
+            assert exact._neutral_series(n, spec, W) == dense, (spec, n)
+
+
+@pytest.mark.parametrize("spec", [SPEC212, SPEC212.swapped()], ids=str)
+@pytest.mark.parametrize("n", [1000, 1001])
+def test_two_classes_transpose_only_the_alpha_lanes_a_beta_column_meets(monkeypatch, spec, n):
+    # with N = 2 every beta column is packed in q^2 and meets only the alpha
+    # lane rho == n - low_l (mod 2); (2, 1, 2) has alpha columns in both lanes
+    # and beta columns in lane 0, so only the lane n mod 2 is transposed
+    lanes = []
+    alpha_rows = exact._alpha_rows
+
+    def recording(*args):
+        rows = alpha_rows(*args)
+        lanes.extend(rho for rho, _, _ in rows)
+        return rows
+
+    monkeypatch.setattr(exact, "_alpha_rows", recording)
+    counts = pd_distribution(n, spec).counts
+    met = {(n - low) % 2 for low in exact._lowest_degrees(spec.beta, 2, n)}
+    reached = {low % 2 for low in exact._lowest_degrees(spec.alpha, 2, n)}
+    assert sorted(lanes) == sorted(met & reached)
+    if spec == SPEC212:
+        assert lanes == [n % 2]
+    ref = oracles.dot_product_counts(n, 2, spec.alpha, spec.beta)
+    assert list(counts.items()) == list(ref.items())
+
+
+@pytest.mark.parametrize("block_bytes", [1, 100])
+def test_single_engine_in_blocks_of_rows(monkeypatch, block_bytes):
+    # the transposed tables are built and turned into rows block by block;
+    # one row per block, and a few rows per block, at every pair with N <= 6
+    monkeypatch.setattr(exact, "_TABLE_BLOCK_BYTES", block_bytes)
+    residues = oracles.residue_count_histograms(40, (2, 3, 4, 5, 6))
+    for spec in ALL_PAIRS:
+        for n in range(41):
+            counts = pd_distribution(n, spec).counts
+            ref = oracles.reduce_to_pd(residues[spec.N][n], spec.N, spec.alpha, spec.beta)
+            assert counts == ref, (spec, n)
+    for spec in (SPEC212, ParitySpec(3, 2, 3), ParitySpec(5, 1, 2)):
+        ref = oracles.dot_product_counts(700, spec.N, spec.alpha, spec.beta)
+        assert list(pd_distribution(700, spec).counts.items()) == list(ref.items())
+
+
+@pytest.mark.parametrize(
+    "spec, n, single, tail",
+    [
+        # (limb-steps, values unpacked); before the neutral classes were
+        # built in lanes and beta = N kept its columns packed, these were
+        # (375 889, 33 371) and (654 219, 2020) at (2, 1, 2),
+        # (1 105 415, 51 828) and (1 248 481, 2320) at (5, 1, 2),
+        # (793 931, 60 684) and (931 251, 2219) at (3, 2, 3)
+        (ParitySpec(2, 1, 2), 2020, (375_889, 32_361), (654_219, 2020)),
+        (ParitySpec(5, 1, 2), 2320, (686_227, 51_828), (829_293, 2320)),
+        (ParitySpec(3, 2, 3), 2220, (566_857, 21_242), (701_614, 2219)),
+    ],
+)
+def test_single_weight_work_counts(monkeypatch, spec, n, single, tail):
+    # a division by 1 - q^a truncated at limb top adds top + 1 limbs per power
+    # a, 2a, 4a, ... <= top; every value read out of a packed series or a
+    # transposed table passes through _limbs
+    divide, limbs = exact._divide_one_minus, exact._limbs
+    work = [0, 0]
+
+    def counting_divide(x, a, top, W, mask):
+        work[0] += (top // a).bit_length() * (top + 1)
+        return divide(x, a, top, W, mask)
+
+    def counting_limbs(blob, Wb):
+        values = limbs(blob, Wb)
+        work[1] += len(values)
+        return values
+
+    monkeypatch.setattr(exact, "_divide_one_minus", counting_divide)
+    monkeypatch.setattr(exact, "_limbs", counting_limbs)
+    pd_distribution(n, spec)
+    assert tuple(work) == single
+    work[:] = [0, 0]
+    tail_counts(spec, range(n, n + 1), [1])
+    assert tuple(work) == tail
+
+
 @pytest.mark.parametrize("n", [2000, 3000])
 def test_single_engine_total_and_reflection_large(n):
     d = count_distinct(n)
