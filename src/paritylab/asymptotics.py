@@ -19,11 +19,8 @@ one main-term and one second-term function serve both.
   delta to (N - 1)/2.  On the lattice pairs (3, {1, 2}) and (4, {1, 3}) the
   tuples crowd into N/h classes, and estimate_thm2 raises.
 
-Their main terms are equal bit for bit.  The second terms agree to ~1e-12
-relative at moderate thresholds.  At far thresholds, where erfc underflows,
-the signed sum over delta classes in estimate_thm1 loses ulps to
-cancellation, and the second terms agree to ~3e-11 relative (measured at
-c0 = 50, N = 6, n = 500).  The test suite compares them in both regimes.
+Their main terms are equal bit for bit.  Each takes the log of a single
+coefficient, so their second terms agree to a few ulps.
 
 Also here: Hua's main term for d(n), the bias main term, the expansion
 coefficients T_{A,B,r} of the saddle-point contour integral together with a
@@ -125,12 +122,6 @@ class LogScaledValue(_Record):
         if r == 0.0:
             return LogScaledValue.zero()
         return LogScaledValue(1 if r > 0 else -1, m + math.log(abs(r)))
-
-    def scaled(self, factor: float) -> "LogScaledValue":
-        if factor == 0.0 or self.sign == 0:
-            return LogScaledValue.zero()
-        sign = self.sign if factor > 0 else -self.sign
-        return LogScaledValue(sign, self.log_abs + math.log(abs(factor)))
 
     def to_float(self) -> float:
         if self.sign == 0:
@@ -382,9 +373,10 @@ def estimate_thm1(n: int, spec: ParitySpec, c0: float) -> EstimateTerms:
     e^{-c0^2 pi N/(4 sqrt 3)} (N^2 - 2 partial* N + (beta-alpha))
     / (16 sqrt 3 N^{N-1/2}) * n^{-1/4}, times the shared prefactor, depends on
     the tuple only through its boundary fraction partial*, so through
-    delta = [l_a - l_b - ceil]_N alone.  The sum takes the number of tuples in
-    each delta class (see _delta_class_counts): one second term and one
-    stable addition per class, and no tuple enumerated.
+    delta = [l_a - l_b - ceil]_N alone, and it is linear in its coefficient.
+    So the sum weighs each class's coefficient by the number of tuples in the
+    class (see _delta_class_counts) and takes one second term of the sum; no
+    tuple is enumerated.
     """
     N = spec.N
     if not 2 <= N <= 6:
@@ -395,12 +387,11 @@ def estimate_thm1(n: int, spec: ParitySpec, c0: float) -> EstimateTerms:
     main = _main_term(n, N, c0)
     counts = _delta_class_counts(N, spec.alpha, spec.beta, n % N, ceil_c % N)
     log_den = math.log(16.0 * _SQRT3) + (N - 0.5) * math.log(N)
-    second = LogScaledValue.zero()
-    for d, count in enumerate(counts):
-        if count:
-            coef = N * N - 2.0 * (partial + d) * N + (spec.beta - spec.alpha)
-            term = _second_term(n, N, c0, coef, log_den)
-            second = second.plus(term.scaled(float(count)))
+    coef = sum(
+        count * (N * N - 2.0 * (partial + d) * N + (spec.beta - spec.alpha))
+        for d, count in enumerate(counts)
+    )
+    second = _second_term(n, N, c0, coef, log_den)
     return EstimateTerms(main, second, main.plus(second))
 
 
@@ -422,11 +413,8 @@ def estimate_thm2(n: int, spec: ParitySpec, c0: float) -> EstimateTerms:
     (beta - alpha) to the one above, and N^{N-1} tuples over 16 sqrt 3
     N^{N-1/2} give 1/(16 sqrt(3N)).
 
-    Its main term is estimate_thm1's exactly.  The second terms match to
-    ~1e-12 relative at moderate thresholds and to ~3e-11 at far thresholds,
-    where erfc underflows (c0 = 50, N = 6, n = 500), because estimate_thm1's
-    signed sum loses ulps there.  Raises ValueError on a lattice pair and on
-    an N whose pi N overflows a float.
+    Its main term is estimate_thm1's exactly.  Raises ValueError on a lattice
+    pair and on an N whose pi N overflows a float.
     """
     N = spec.N
     if n < 1:

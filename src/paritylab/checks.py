@@ -200,10 +200,8 @@ def check_nr_expansion(A: float, R: int, *, bound: float | None = None) -> Check
 
 
 def _gaussian_derivative(order: int, x: complex) -> complex:
-    # d^m/dx^m e^{-x^2} = (-1)^m H_m(x) e^{-x^2}  (physicists' Hermite)
+    # d^m/dx^m e^{-x^2} = (-1)^m H_m(x) e^{-x^2}  (physicists' Hermite), m >= 1
     h_prev: complex = 1.0 + 0.0j
-    if order == 0:
-        return cmath.exp(-x * x)
     h_cur: complex = 2.0 * x
     for m in range(1, order):
         h_prev, h_cur = h_cur, 2.0 * x * h_cur - 2.0 * m * h_prev

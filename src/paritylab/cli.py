@@ -359,7 +359,8 @@ def cmd_count(args: argparse.Namespace) -> int:
 
 
 def cmd_compare(args: argparse.Namespace) -> int:
-    # pinned by the benchmark pool's three compare-N error jobs until ROADMAP item 2's CLI step
+    # pinned by the benchmark pool's three compare-N error jobs until the CLI step of
+    # ROADMAP's item "Every class pair in `compare` and in `estimate_bias`"
     if args.spec.N not in (2, 5, 6):
         raise UsageError(
             "compare serves only N = 2, 5 or 6 so far, although its two-term "
@@ -402,7 +403,7 @@ def cmd_dist(args: argparse.Namespace) -> int:
     hist = histogram_of(dist)
     peak = max(d for _, d in hist.points)
     rows = []
-    for (x, density), k in zip(hist.points, sorted(dist.counts)):
+    for (x, density), k in zip(hist.points, dist.counts):
         rows.append(
             {
                 "k": str(k),

@@ -56,8 +56,8 @@ class BiasProfile(_Record):
     """Exact bias values pb(c) = f(c) - f(-c) for c = 0..max level.
 
     normalizer is the aggregate bias (tail count with threshold 0, minus the
-    same for the swapped classes); the telescoping identity
-    sum_{c>=1} pb(c) = normalizer always holds.
+    same for the swapped classes), which by the telescoping identity is
+    sum_{c>=1} pb(c); bias_profile_of sums it so.
     """
 
     __slots__ = ("n", "spec", "points", "normalizer")
@@ -163,10 +163,8 @@ def bias_profile_of(dist: PdDistribution) -> BiasProfile:
     top = max((abs(k) for k in counts), default=0)
     points = [(c, counts.get(c, 0) - counts.get(-c, 0)) for c in range(top + 1)]
     # aggregate bias: tail count at threshold 0 minus the swapped-class tail,
-    # which by reflection is sum_{k >= 0} f - sum_{k <= 0} f
-    normalizer = sum(v for k, v in counts.items() if k >= 0) - sum(
-        v for k, v in counts.items() if k <= 0
-    )
+    # which by reflection is sum_{k >= 0} f - sum_{k <= 0} f = sum_c pb(c)
+    normalizer = sum(pb for _, pb in points)
     return BiasProfile(dist.n, dist.spec, points, normalizer)
 
 

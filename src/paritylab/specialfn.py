@@ -229,7 +229,7 @@ def dilog(w: complex) -> complex:
     1/2 < |w| <= 1 - 1e-9.
     """
     w = complex(w)
-    if abs(w) > 1.0 - 1e-9:
+    if not abs(w) <= 1.0 - 1e-9:
         raise ValueError("dilog requires |w| <= 1 - 1e-9")
     if abs(w) <= 0.5:
         return _li2_series(w)

@@ -97,8 +97,6 @@ def test_log_scaled_algebra():
     x = LogScaledValue.from_float(3.0)
     assert x.plus(LogScaledValue.zero()) == x
     assert x.times(LogScaledValue.from_float(-2.0)).to_float() == pytest.approx(-6.0)
-    assert x.scaled(-4.0).to_float() == pytest.approx(-12.0)
-    assert x.scaled(0.0).sign == 0
     assert x.ratio_to(3) == pytest.approx(1.0, rel=1e-15)
     with pytest.raises(ValueError):
         x.ratio_to(0)
@@ -107,6 +105,20 @@ def test_log_scaled_algebra():
 def test_log_scaled_cancellation_to_zero():
     x = LogScaledValue.from_float(1.5)
     assert x.plus(LogScaledValue.from_float(-1.5)).sign == 0
+
+
+def test_log_scaled_zero_is_absorbing():
+    x = LogScaledValue.from_float(-2.5)
+    assert x.times(LogScaledValue.zero()) == LogScaledValue.zero()
+    assert LogScaledValue.zero().times(x) == LogScaledValue.zero()
+    assert LogScaledValue.zero().ratio_to(7) == 0.0
+
+
+def test_estimate_is_zero_once_the_threshold_squared_overflows():
+    # c0 = 1e160: the erfc argument's square overflows, so log erfc is -inf
+    # and the main term is an exact zero, as is the second term
+    est = estimate_thm2(100, ParitySpec(2, 1, 2), 1e160)
+    assert est.main.sign == est.second.sign == est.total.sign == 0
 
 
 # ---------------------------------------------------------------------------
@@ -284,27 +296,29 @@ def test_second_term_even_n_N2_aggregate():
 
 
 @pytest.mark.parametrize("N", [2, 3, 4, 5, 6])
-@pytest.mark.parametrize("c0", [0.0, 0.5, 1.0, 2.0])
+@pytest.mark.parametrize("c0", [0.0, 0.5, 1.0, 2.0, 50.0])
 def test_thm1_equals_thm2(N, c0):
+    # Theorem 1 adds its delta-class coefficients into one before the log, so
+    # its second term is Theorem 2's to about two ulps of the log magnitude,
+    # which reaches ~5000 at c0 = 50, where erfc underflows and both take log
+    # erfc from the continued fraction.  Where the two terms nearly cancel
+    # (c0 = 2, n = 97) the total's log is small and the abs floor applies
     for spec, n in itertools.product(SPAN_ONE[N], (97, 500, 2401)):
         t1 = estimate_thm1(n, spec, c0)
         t2 = estimate_thm2(n, spec, c0)
-        assert t1.total.sign == t2.total.sign
-        assert t1.total.log_abs == pytest.approx(t2.total.log_abs, abs=1e-12)
-
-
-@pytest.mark.parametrize("N", [2, 3, 4, 5, 6])
-def test_thm1_equals_thm2_where_erfc_underflows(N):
-    # at c0 = 50 erfc(x) underflows to 0 (x = 50 sqrt(pi N)/(2*3^{1/4}) > 80),
-    # so both estimates take log erfc from the continued fraction.  The log
-    # magnitudes are ~2000-7000, where one ulp is ~5e-13, so the totals (main
-    # plus a second term of comparable size) are compared relatively
-    for spec, n in itertools.product(SPAN_ONE[N], (97, 500, 2401)):
-        t1 = estimate_thm1(n, spec, 50.0)
-        t2 = estimate_thm2(n, spec, 50.0)
-        assert t1.main.log_abs == pytest.approx(t2.main.log_abs, abs=1e-12)
+        assert t1.second.sign == t2.second.sign != 0
+        assert t1.second.log_abs == pytest.approx(t2.second.log_abs, abs=2e-12)
         assert t1.total.sign == t2.total.sign != 0
-        assert t1.total.log_abs == pytest.approx(t2.total.log_abs, rel=1e-12)
+        assert t1.total.log_abs == pytest.approx(t2.total.log_abs, rel=1e-14, abs=1e-12)
+
+
+@pytest.mark.parametrize("spec", [ParitySpec(4, 4, 2), ParitySpec(6, 4, 1), ParitySpec(6, 6, 3)])
+def test_thm1_second_term_vanishes_with_thm2s_coefficient(spec):
+    # at c0 = -0.75, n = 2401 the threshold is -5.25, so partial = 0.25 and
+    # beta - alpha + N - 2 N partial = 0: the summed delta-class coefficients
+    # cancel exactly, and both second terms are exact zeros
+    assert estimate_thm2(2401, spec, -0.75).second.sign == 0
+    assert estimate_thm1(2401, spec, -0.75).second.sign == 0
 
 
 def test_thm1_main_term_is_thm2_main_term_exactly():

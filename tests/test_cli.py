@@ -161,6 +161,27 @@ def test_bias_rows_n8(capsys):
     assert sum(float(r[3]) for r in rows[1:]) == pytest.approx(1.0, abs=1e-12)
 
 
+def test_bias_normalized_is_nan_where_the_aggregate_bias_is_zero(capsys):
+    # at n = 4 the partitions {4} (pd -1) and {3, 1} (pd +2) balance
+    code, out, _ = run_cli(capsys, "bias", "--n", "4")
+    assert code == 0
+    rows = [row.split(",") for row in out.splitlines()[1:]]
+    assert [r[2] for r in rows] == ["0", "-1", "1"]
+    assert {r[3] for r in rows} == {"nan"}
+
+
+def test_layer_names_read_from_outside_bind_their_layer(monkeypatch):
+    cli = paritylab.cli
+    # drop a binding an earlier command made, so the read goes through the
+    # module __getattr__; monkeypatch restores it afterwards
+    monkeypatch.delattr(cli, "histogram_of", raising=False)
+    assert "histogram_of" not in vars(cli)
+    assert cli.histogram_of is paritylab.distribution.histogram_of
+    assert vars(cli)["histogram_of"] is paritylab.distribution.histogram_of
+    with pytest.raises(AttributeError, match="has no attribute 'no_such_name'"):
+        cli.no_such_name
+
+
 @pytest.mark.parametrize("N, alpha, beta", [(3, 1, 2), (3, 2, 1), (4, 1, 3), (4, 3, 1)])
 def test_bias_refuses_lattice_pairs(capsys, N, alpha, beta):
     # pd keeps one residue mod 3 or mod 2 at each weight, so the bias law fails
@@ -399,6 +420,12 @@ def test_config_file_that_is_not_utf8_is_a_usage_error_naming_it(capsys, tmp_pat
 def test_usage_errors(capsys, argv):
     code, _, _ = run_cli(capsys, *argv)
     assert code == 2
+
+
+def test_n_range_fields_must_be_integers(capsys):
+    code, out, err = run_cli(capsys, "count", "--n-range", "1:x")
+    assert (code, out) == (2, "")
+    assert "fields must be integers: '1:x'" in err
 
 
 def test_argparse_usage_error_is_exit_2(capsys):

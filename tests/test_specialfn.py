@@ -150,6 +150,17 @@ def test_polylog_domain():
         dilog(1.0000001j * 1.0)
 
 
+@pytest.mark.parametrize(
+    "call",
+    [lambda: dilog(math.nan), lambda: lambda_y(math.nan, 2), lambda: s_of_y(math.nan, 2)],
+    ids=["dilog", "lambda_y", "s_of_y"],
+)
+def test_a_nan_argument_fails_the_dilog_domain(call):
+    # |nan| <= 1 - 1e-9 is false, so a NaN is outside the domain, not inside it
+    with pytest.raises(ValueError, match="dilog requires"):
+        call()
+
+
 # ---------------------------------------------------------------------------
 # Rogers dilogarithm and the Lambda/s functions
 # ---------------------------------------------------------------------------
